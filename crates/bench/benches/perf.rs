@@ -18,7 +18,8 @@ use concat_components::{sortable_inventory, sortable_spec, CSortableObListFactor
 use concat_core::Consumer;
 use concat_driver::{TestLog, TestRunner};
 use concat_mutation::{
-    enumerate_mutants, run_mutation_analysis, run_mutation_analysis_parallel, MutationConfig,
+    enumerate_mutants, run_mutation_analysis, run_mutation_analysis_parallel, ClonableFactory,
+    MutationConfig,
 };
 use concat_obs::{NullSink, Telemetry};
 use concat_tfm::{enumerate_transactions, NodeKind, Tfm};
@@ -155,10 +156,10 @@ fn main() {
 
     // Parallel engine smoke: one-shot wall-clock, workers=1 vs workers=4,
     // on the same findmax workload. This subject is CPU-bound, so the
-    // figures document merge/spawn overhead rather than a speedup (the
+    // figures document fleet overhead rather than a speedup (the
     // stall-prone subject in examples/mutation_demo.rs shows the speedup);
     // the verdict check guards the deterministic merge under bench load.
-    let shards = CSortableObListFactory::default();
+    let shards: Arc<dyn ClonableFactory> = Arc::new(CSortableObListFactory::default());
     let mut smoke = Vec::new();
     for workers in [1usize, 4] {
         let config = MutationConfig {
@@ -166,7 +167,7 @@ fn main() {
             ..MutationConfig::default()
         };
         let t0 = Instant::now();
-        let run = run_mutation_analysis_parallel(&shards, &small, &mutants, &config);
+        let run = run_mutation_analysis_parallel(shards.clone(), &small, &mutants, &config);
         smoke.push((run, t0.elapsed()));
     }
     assert_eq!(

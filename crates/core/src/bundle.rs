@@ -126,7 +126,8 @@ impl SelfTestableBuilder {
     }
 
     /// Attaches the sharding seam that lets quality evaluation run across
-    /// a worker pool ([`concat_mutation::run_mutation_analysis_parallel`]).
+    /// a fleet of worker slots
+    /// ([`concat_mutation::run_mutation_analysis_parallel`]).
     /// Optional: without it, evaluation runs sequentially on the bundle's
     /// own factory/switch pair.
     pub fn mutation_shards(mut self, shards: Arc<dyn ClonableFactory>) -> Self {

@@ -379,9 +379,9 @@ impl Consumer {
         };
         let mutants = enumerate_mutants(inventory, target_methods);
         let config = self.mutation_config(component, probe_seeds, bit_enabled)?;
-        Ok(match component.shards() {
-            // A sharded bundle analyzes across the worker pool; the merge
-            // is deterministic, so the run is byte-identical to the
+        Ok(match component.shards_handle() {
+            // A sharded bundle analyzes on a fleet of `workers` slots; the
+            // merge is deterministic, so the run is byte-identical to the
             // sequential path below.
             Some(shards) => run_mutation_analysis_parallel(shards, suite, &mutants, &config),
             None if config.isolation.is_process() => {
@@ -433,8 +433,8 @@ impl Consumer {
     /// inputs the solo path uses (same suite, mutants, probes, budget,
     /// journal, isolation), so the orchestrated run's verdicts, score,
     /// and report are byte-identical to the solo run's; scheduling
-    /// metadata (`priority`, `mutant_budget`, `slot`) starts at its
-    /// defaults and can be adjusted on the returned request.
+    /// metadata (`priority`, `mutant_budget`) starts at its defaults and
+    /// can be adjusted on the returned request.
     ///
     /// # Errors
     ///
@@ -465,7 +465,6 @@ impl Consumer {
             config,
             priority: 0,
             mutant_budget: None,
-            slot: None,
         })
     }
 
@@ -567,7 +566,7 @@ impl Consumer {
                 None => synthesis.suite,
             })
         };
-        let outcome = match component.shards() {
+        let outcome = match component.shards_handle() {
             Some(shards) => {
                 amplify_suite_parallel(shards, suite, &mutants, &config, amplify, &mut synth)?
             }

@@ -18,18 +18,17 @@
 //! previous classification, because the candidates that stopped it are
 //! discarded with the rest of the round's misses.
 
-use crate::analysis::{
-    run_mutation_analysis, run_mutation_analysis_parallel, MutantStatus, MutationConfig,
-    MutationRun,
-};
+use crate::analysis::{run_mutation_analysis, MutantStatus, MutationConfig, MutationRun};
 use crate::enumerate::Mutant;
 use crate::fault::{ClonableFactory, MutationSwitch};
 use crate::journal::campaign_fingerprint;
+use crate::orchestrator::run_mutation_analysis_parallel;
 use concat_bit::ComponentFactory;
 use concat_driver::{GenerateError, TestSuite};
 use concat_obs::Telemetry;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Budget and targets of one amplification loop.
@@ -118,7 +117,7 @@ enum Exec<'a> {
         switch: &'a MutationSwitch,
     },
     Parallel {
-        shards: &'a dyn ClonableFactory,
+        shards: Arc<dyn ClonableFactory>,
     },
 }
 
@@ -136,7 +135,7 @@ impl Exec<'_> {
                 run_mutation_analysis(*factory, switch, suite, mutants, config)
             }
             Exec::Parallel { shards } => {
-                run_mutation_analysis_parallel(*shards, suite, mutants, config)
+                run_mutation_analysis_parallel(shards.clone(), suite, mutants, config)
             }
         }
     }
@@ -177,7 +176,7 @@ pub fn amplify_suite(
 ///
 /// Propagates [`GenerateError`] from the candidate source.
 pub fn amplify_suite_parallel(
-    shards: &dyn ClonableFactory,
+    shards: Arc<dyn ClonableFactory>,
     suite: &TestSuite,
     mutants: &[Mutant],
     config: &MutationConfig,

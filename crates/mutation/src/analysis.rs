@@ -15,21 +15,19 @@
 //! (DESIGN.md §2). The mutation score is `killed / (total - equivalent)`.
 
 use crate::enumerate::Mutant;
-use crate::fault::{ClonableFactory, MutationSwitch};
+use crate::fault::MutationSwitch;
 use crate::journal::{campaign_fingerprint, CampaignJournal};
 use concat_bit::ComponentFactory;
 use concat_driver::{
     differing_cases, CaseStatus, CoverageMatrix, SuiteResult, TestLog, TestRunner, TestSuite,
 };
-use concat_obs::{MemorySink, SpanId, Telemetry};
+use concat_obs::{SpanId, Telemetry};
 use concat_runtime::{recommended_workers, write_atomic, Budget, RetryPolicy};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Why a mutant died.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -153,20 +151,23 @@ pub struct MutantResult {
     pub status: MutantStatus,
 }
 
-/// How [`run_mutation_analysis_parallel`] isolates mutant execution.
+/// Which kind of lease the fleet runs a campaign's mutants on; see
+/// [`run_mutation_analysis_parallel`](crate::run_mutation_analysis_parallel)
+/// and the [`Orchestrator`](crate::Orchestrator).
 #[derive(Debug, Clone)]
 pub enum IsolationMode {
-    /// Shards are threads in this process (the default). Cheap, and
+    /// Thread leases in this process (the default). Cheap, and
     /// `catch_unwind` contains everything that unwinds — but a mutant
     /// that aborts, overflows the stack, or spins without reaching a
     /// cooperative checkpoint takes the whole campaign process down.
     InThread,
-    /// Shards are child processes (self-execs of the current binary; see
-    /// [`ProcessIsolation::worker_args`]) streaming verdicts back over a
-    /// checksummed frame protocol. A mutant can do *anything* — abort,
-    /// segfault, spin forever — and lose only itself: the supervisor
-    /// classifies the shard's exit, quarantines the in-flight mutant, and
-    /// respawns the shard under the `worker_restarts` budget.
+    /// Process leases: each lease is a child process (a self-exec of the
+    /// current binary; see [`ProcessIsolation::worker_args`]) streaming
+    /// verdicts back over a checksummed frame protocol. A mutant can do
+    /// *anything* — abort, segfault, spin forever — and lose only
+    /// itself: the fleet classifies the shard's exit, retries the
+    /// in-flight mutant once on a fresh lease, and quarantines it if it
+    /// kills its host again.
     Process(ProcessIsolation),
 }
 
@@ -177,7 +178,7 @@ impl IsolationMode {
     }
 }
 
-/// Settings of the process-isolated shard pool.
+/// Settings of process leases.
 #[derive(Debug, Clone)]
 pub struct ProcessIsolation {
     /// Arguments appended to a self-exec of [`std::env::current_exe`] to
@@ -244,6 +245,7 @@ impl ProcessIsolation {
 }
 
 /// Configuration of a mutation run.
+#[derive(Clone)]
 pub struct MutationConfig {
     /// Suites used to re-attack survivors for equivalence probing
     /// (generated by the caller, typically with different seeds and a
@@ -273,12 +275,13 @@ pub struct MutationConfig {
     /// cases (crashes the *golden* run also has are not counted). `None`
     /// (default) keeps the paper's semantics: every crash is a kill.
     pub crash_quarantine_threshold: Option<usize>,
-    /// Worker count for [`run_mutation_analysis_parallel`]: each worker
-    /// owns its own factory, switch, runner, watchdog and cancel token.
-    /// Defaults to the machine's available parallelism
-    /// ([`recommended_workers`]); clamped to `1..=mutants.len()` at run
-    /// time. The sequential entry point ignores it (it *is* the
-    /// `workers = 1` instantiation of the engine), and verdicts are
+    /// Worker count for
+    /// [`run_mutation_analysis_parallel`](crate::run_mutation_analysis_parallel):
+    /// the number of fleet slots, each lease owning its own factory,
+    /// switch, runner, watchdog and cancel token. Defaults to the
+    /// machine's available parallelism ([`recommended_workers`]); clamped
+    /// to `1..=mutants.len()` at run time. The sequential entry point
+    /// ignores it (it runs the inline slot alone), and verdicts are
     /// byte-identical for every value.
     pub workers: usize,
     /// Path of the durable per-campaign verdict journal. When set, every
@@ -290,13 +293,13 @@ pub struct MutationConfig {
     /// campaign continues without durability, counting `harden.degraded`)
     /// rather than aborting the run.
     pub journal_path: Option<PathBuf>,
-    /// How many crashed workers the parallel supervisor may replace
-    /// before degrading to the surviving workers. Each worker panic
-    /// quarantines only its in-flight mutant; the replacement worker
-    /// keeps draining the shared queue. Once the budget is spent the
-    /// campaign still completes — remaining mutants run on the surviving
-    /// workers, or inline on the supervisor when none survive. Partial
-    /// results are never discarded.
+    /// How many lease crashes a campaign absorbs before the fleet flags
+    /// `mutation.restarts_exhausted` in the harness-health table. Each
+    /// crash costs at most its in-flight mutant, and the campaign keeps
+    /// leasing past the budget: it still ends, because a mutant that
+    /// kills its lease twice is convicted and leases that die without
+    /// progress degrade the campaign (a solo run then finishes inline).
+    /// Partial results are never discarded.
     pub worker_restarts: usize,
     /// Coverage-matrix selection (the fast path): per mutant, execute
     /// only the cases whose transactions statically invoke the mutated
@@ -307,12 +310,11 @@ pub struct MutationConfig {
     /// from the campaign fingerprint, so journals stay interchangeable);
     /// `true` by default.
     pub coverage_selection: bool,
-    /// How [`run_mutation_analysis_parallel`] isolates its shards:
-    /// threads (default) or supervised child processes. Verdicts are
-    /// byte-identical across modes and shard counts, so — like `workers`
-    /// — the mode is deliberately absent from the campaign fingerprint
-    /// and journals interchange freely. The sequential entry point
-    /// ignores it.
+    /// The lease kind the fleet runs this campaign on: threads (default)
+    /// or supervised child processes. Verdicts are byte-identical across
+    /// modes and shard counts, so — like `workers` — the mode is
+    /// deliberately absent from the campaign fingerprint and journals
+    /// interchange freely. The sequential entry point ignores it.
     pub isolation: IsolationMode,
     /// Incremental (change-aware) resume. When set together with
     /// `journal_path`, the journal additionally records one `feature`
@@ -453,10 +455,12 @@ impl MutationRun {
 }
 
 /// The golden (original-program) results: computed once per analysis and
-/// shared read-only across every shard.
+/// shared read-only by every executor.
 pub(crate) struct GoldenBaseline {
     pub(crate) golden: SuiteResult,
+    golden_index: StatusIndex,
     probes: Vec<SuiteResult>,
+    probe_indexes: Vec<StatusIndex>,
     /// Case × feature coverage of the golden run, persisted alongside
     /// the campaign journal for post-mortem inspection.
     coverage: CoverageMatrix,
@@ -474,8 +478,10 @@ pub(crate) struct GoldenBaseline {
 struct FeatureView {
     suite: TestSuite,
     golden: SuiteResult,
+    golden_index: StatusIndex,
     probes: Vec<TestSuite>,
     probe_goldens: Vec<SuiteResult>,
+    probe_indexes: Vec<StatusIndex>,
     /// Main-suite cases this view skips per mutant execution.
     skipped: u64,
     /// Cases skipped per probe suite, by probe index.
@@ -517,11 +523,14 @@ fn build_feature_views(
             .map(|c| c.id)
             .collect();
         let id_list: Vec<usize> = ids.iter().copied().collect();
+        let view_golden = filter_golden(golden, &ids);
         let mut view = FeatureView {
             suite: suite.filtered(&id_list),
-            golden: filter_golden(golden, &ids),
+            golden_index: StatusIndex::of(&view_golden),
+            golden: view_golden,
             probes: Vec::with_capacity(probes_in.len()),
             probe_goldens: Vec::with_capacity(probes_in.len()),
+            probe_indexes: Vec::with_capacity(probes_in.len()),
             skipped: (suite.len() - ids.len()) as u64,
             probe_skipped: Vec::with_capacity(probes_in.len()),
         };
@@ -536,11 +545,12 @@ fn build_feature_views(
                 .map(|c| c.id)
                 .collect();
             let probe_id_list: Vec<usize> = probe_ids.iter().copied().collect();
+            let filtered = filter_golden(probe_golden, &probe_ids);
             view.probe_skipped
                 .push((probe.len() - probe_ids.len()) as u64);
             view.probes.push(probe.filtered(&probe_id_list));
-            view.probe_goldens
-                .push(filter_golden(probe_golden, &probe_ids));
+            view.probe_indexes.push(StatusIndex::of(&filtered));
+            view.probe_goldens.push(filtered);
         }
         views.insert(feature.to_owned(), view);
     }
@@ -548,169 +558,89 @@ fn build_feature_views(
 }
 
 /// Case statuses of one golden run indexed by `case_id`, built once per
-/// suite so per-mutant classification stays O(cases) — the previous
-/// per-observed-case linear scan was O(cases²) per mutant, which the
-/// worker pool would have multiplied instead of hidden.
-struct StatusIndex<'a> {
-    by_case: HashMap<usize, &'a CaseStatus>,
+/// baseline so per-mutant classification stays O(cases) — a linear scan
+/// per observed case would be O(cases²) per mutant.
+struct StatusIndex {
+    by_case: HashMap<usize, CaseStatus>,
 }
 
-impl<'a> StatusIndex<'a> {
-    fn of(suite: &'a SuiteResult) -> Self {
+impl StatusIndex {
+    fn of(suite: &SuiteResult) -> Self {
         StatusIndex {
-            by_case: suite.cases.iter().map(|c| (c.case_id, &c.status)).collect(),
+            by_case: suite
+                .cases
+                .iter()
+                .map(|c| (c.case_id, c.status.clone()))
+                .collect(),
         }
     }
 
-    fn status(&self, id: usize) -> Option<&'a CaseStatus> {
-        self.by_case.get(&id).copied()
+    fn status(&self, id: usize) -> Option<&CaseStatus> {
+        self.by_case.get(&id)
     }
 }
 
-/// Status indexes of one feature view's golden slices, built once per
-/// engine so scoped classification stays O(cases).
-struct ViewIndexes<'a> {
-    golden: StatusIndex<'a>,
-    probes: Vec<StatusIndex<'a>>,
-}
-
-/// Read-only inputs every shard works from, plus the shared work queue.
-/// Workers pull mutant indices from `next` and report `(index, result)`
-/// pairs; the index is what makes the merge deterministic.
+/// The read-only inputs every executor classifies from: the suite, the
+/// campaign config and the golden baseline. Free to build, so thread
+/// leases, shard workers and the inline slot each make their own.
 pub(crate) struct Engine<'a> {
     suite: &'a TestSuite,
-    mutants: &'a [Mutant],
     config: &'a MutationConfig,
     baseline: &'a GoldenBaseline,
-    golden_index: StatusIndex<'a>,
-    probe_indexes: Vec<StatusIndex<'a>>,
-    /// Pre-built status indexes of every feature view's golden slices,
-    /// keyed like [`GoldenBaseline::views`].
-    view_indexes: HashMap<&'a str, ViewIndexes<'a>>,
-    next: AtomicUsize,
-    /// Mutants whose verdicts were replayed from a journal: claimed
-    /// indices in `done` are skipped, so a resumed run re-executes only
-    /// unfinished mutants.
-    done: Vec<bool>,
-}
-
-/// How one worker's drain loop ended.
-pub(crate) enum DrainEnd {
-    /// The shared queue is empty; the worker retires healthy.
-    Drained,
-    /// A classification panicked outside the runner's catch boundary.
-    /// The in-flight mutant was quarantined and emitted; the worker's
-    /// harness state is suspect, so it retires and the supervisor decides
-    /// whether to replace it.
-    Crashed,
 }
 
 impl<'a> Engine<'a> {
     pub(crate) fn new(
         suite: &'a TestSuite,
-        mutants: &'a [Mutant],
         config: &'a MutationConfig,
         baseline: &'a GoldenBaseline,
-        done: Vec<bool>,
     ) -> Self {
         Engine {
             suite,
-            mutants,
             config,
             baseline,
-            golden_index: StatusIndex::of(&baseline.golden),
-            probe_indexes: baseline.probes.iter().map(StatusIndex::of).collect(),
-            view_indexes: baseline
-                .views
-                .iter()
-                .map(|(feature, view)| {
-                    (
-                        feature.as_str(),
-                        ViewIndexes {
-                            golden: StatusIndex::of(&view.golden),
-                            probes: view.probe_goldens.iter().map(StatusIndex::of).collect(),
-                        },
-                    )
-                })
-                .collect(),
-            next: AtomicUsize::new(0),
-            done,
         }
     }
 
-    /// The feature view (and its status indexes) for `mutant`, when
-    /// coverage selection built one for its method.
-    fn view_of(&self, mutant: &Mutant) -> Option<(&'a FeatureView, &ViewIndexes<'a>)> {
-        let view = self.baseline.views.get(mutant.method())?;
-        let indexes = self.view_indexes.get(mutant.method())?;
-        Some((view, indexes))
+    /// The feature view for `mutant`, when coverage selection built one
+    /// for its method.
+    fn view_of(&self, mutant: &Mutant) -> Option<&'a FeatureView> {
+        self.baseline.views.get(mutant.method())
     }
 
-    /// True while unclaimed mutant indices remain on the shared queue.
-    pub(crate) fn has_unclaimed_work(&self) -> bool {
-        self.next.load(Ordering::Relaxed) < self.mutants.len()
-    }
-
-    /// One shard's work loop: pull the next unclaimed mutant index until
-    /// the queue is drained. Slow mutants delay only their own slot;
-    /// siblings keep pulling. Each classification runs inside
-    /// `catch_unwind`, so a panic that escapes the runner (an
-    /// engine-adjacent crash) costs exactly one mutant — quarantined as
-    /// [`QuarantineReason::WorkerCrash`] and emitted like any other
-    /// verdict — after which the loop returns [`DrainEnd::Crashed`] so
-    /// the caller can retire this worker's (possibly corrupted) harness.
-    pub(crate) fn drain(
+    /// Classifies one mutant with crash containment: the per-mutant step
+    /// thread leases, shard workers and the inline slot share. The runner
+    /// catches case panics itself; this `catch_unwind` contains the ones
+    /// that escape it (an engine-adjacent crash such as a panicking
+    /// reporter). Such a crash costs exactly this mutant: it is
+    /// quarantined as [`QuarantineReason::WorkerCrash`] and counted under
+    /// `mutation.worker_crash`. The returned flag is `true` after a
+    /// crash, so a thread lease can retire its possibly corrupted harness.
+    pub(crate) fn execute(
         &self,
         factory: &dyn ComponentFactory,
         switch: &MutationSwitch,
         runner: &TestRunner,
         telemetry: &Telemetry,
-        emit: &mut dyn FnMut(usize, MutantResult),
-    ) -> DrainEnd {
-        loop {
-            let index = self.next.fetch_add(1, Ordering::Relaxed);
-            let Some(mutant) = self.mutants.get(index) else {
-                return DrainEnd::Drained;
-            };
-            if self.done[index] {
-                continue;
-            }
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                self.classify(factory, switch, runner, telemetry, mutant)
-            }));
-            match outcome {
-                Ok(status) => {
-                    record_status(telemetry, &status);
-                    emit(
-                        index,
-                        MutantResult {
-                            mutant: mutant.clone(),
-                            status,
-                        },
-                    );
-                }
-                Err(_panic) => {
-                    let status = MutantStatus::Quarantined {
-                        reason: QuarantineReason::WorkerCrash,
-                    };
-                    telemetry.incr("mutation.worker_crash");
-                    record_status(telemetry, &status);
-                    emit(
-                        index,
-                        MutantResult {
-                            mutant: mutant.clone(),
-                            status,
-                        },
-                    );
-                    return DrainEnd::Crashed;
-                }
+        mutant: &Mutant,
+    ) -> (MutantStatus, bool) {
+        match catch_unwind(AssertUnwindSafe(|| {
+            self.classify(factory, switch, runner, telemetry, mutant)
+        })) {
+            Ok(status) => (status, false),
+            Err(_panic) => {
+                telemetry.incr("mutation.worker_crash");
+                let status = MutantStatus::Quarantined {
+                    reason: QuarantineReason::WorkerCrash,
+                };
+                (status, true)
             }
         }
     }
 
     /// Runs one mutant through the suite (and, if it stays alive, the
     /// probe suites) and classifies it.
-    pub(crate) fn classify(
+    fn classify(
         &self,
         factory: &dyn ComponentFactory,
         switch: &MutationSwitch,
@@ -725,10 +655,14 @@ impl<'a> Engine<'a> {
         // statically identical to golden and skipped.
         let scoped = self.view_of(mutant);
         let (scope_suite, scope_golden, scope_index) = match scoped {
-            Some((view, indexes)) => (&view.suite, &view.golden, &indexes.golden),
-            None => (self.suite, &self.baseline.golden, &self.golden_index),
+            Some(view) => (&view.suite, &view.golden, &view.golden_index),
+            None => (
+                self.suite,
+                &self.baseline.golden,
+                &self.baseline.golden_index,
+            ),
         };
-        if let Some((view, _)) = scoped {
+        if let Some(view) = scoped {
             if view.skipped > 0 {
                 telemetry.incr_by("selection.skipped", view.skipped);
             }
@@ -774,18 +708,17 @@ impl<'a> Engine<'a> {
         // attribution table can split first-suite time from re-attack
         // time.
         let probe_span = telemetry.at(parent).span("probe", mutant.method());
-        let scoped = self.view_of(mutant);
-        let (probes, probe_goldens, probe_indexes, probe_skipped) = match scoped {
-            Some((view, indexes)) => (
+        let (probes, probe_goldens, probe_indexes, probe_skipped) = match self.view_of(mutant) {
+            Some(view) => (
                 view.probes.as_slice(),
                 view.probe_goldens.as_slice(),
-                indexes.probes.as_slice(),
+                view.probe_indexes.as_slice(),
                 Some(view.probe_skipped.as_slice()),
             ),
             None => (
                 self.config.probe_suites.as_slice(),
                 self.baseline.probes.as_slice(),
-                self.probe_indexes.as_slice(),
+                self.baseline.probe_indexes.as_slice(),
                 None,
             ),
         };
@@ -815,8 +748,8 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// Builds the per-shard runner: BIT mode, telemetry, budget — and, when
-/// the budget carries a deadline, that shard's own watchdog thread.
+/// Builds an executor's runner: BIT mode, telemetry, budget — and, when
+/// the budget carries a deadline, that runner's own watchdog thread.
 pub(crate) fn build_runner(config: &MutationConfig, telemetry: &Telemetry) -> TestRunner {
     let runner = if config.bit_enabled {
         TestRunner::new()
@@ -869,7 +802,9 @@ pub(crate) fn run_golden(
         HashMap::new()
     };
     GoldenBaseline {
+        golden_index: StatusIndex::of(&golden),
         golden,
+        probe_indexes: probes.iter().map(StatusIndex::of).collect(),
         probes,
         coverage,
         views,
@@ -952,7 +887,7 @@ pub fn load_campaign_coverage(
 }
 
 /// Emits the per-status counters for one classified mutant.
-pub(crate) fn record_status(telemetry: &Telemetry, status: &MutantStatus) {
+fn record_status(telemetry: &Telemetry, status: &MutantStatus) {
     if !telemetry.is_enabled() {
         return;
     }
@@ -998,62 +933,82 @@ pub(crate) fn record_status(telemetry: &Telemetry, status: &MutantStatus) {
     }
 }
 
-/// Final bookkeeping shared by both entry points: order check, the
-/// equivalence gauge, and the assembled [`MutationRun`].
-pub(crate) fn finish_run(
-    telemetry: &Telemetry,
-    results: Vec<MutantResult>,
-    golden: SuiteResult,
-) -> MutationRun {
-    let equivalents = results.iter().filter(|r| r.status.is_equivalent()).count();
-    telemetry.gauge("mutant.equivalent", equivalents as i64);
-    MutationRun { results, golden }
-}
-
-/// Journal wiring for one run: opened (with torn-tail recovery) from
-/// `config.journal_path`, it surfaces the replayed verdicts and appends
-/// new ones. Journal I/O failures *degrade* — the campaign continues
-/// without durability and `harden.degraded` is counted — because losing
-/// the journal must never lose the run (the in-memory results stay
-/// authoritative, exactly like the other retry-then-degrade consumers).
-pub(crate) struct JournalState {
-    inner: Option<CampaignJournal>,
+/// The verdict ledger of one campaign: the one place a verdict is
+/// merged, whichever executor produced it. It holds the merge slots in
+/// enumeration order (the merge that makes every worker count, isolation
+/// mode and interleaving byte-identical), the write-ahead journal, the
+/// per-status counters, per-slot tallies for the progress heartbeat, and
+/// the death ladder's blame record.
+///
+/// Journal I/O failures *degrade*: the campaign continues without
+/// durability and `harden.degraded` is counted, because losing the
+/// journal must never lose the run (the in-memory slots stay
+/// authoritative).
+pub(crate) struct Ledger {
+    slots: Vec<Option<MutantStatus>>,
+    done: usize,
+    /// Campaign-scoped telemetry: counters, `journal` spans, heartbeats.
+    telemetry: Telemetry,
+    /// True once [`Ledger::open_journal`] ran (whether or not a journal
+    /// path was configured).
+    opened: bool,
+    journal: Option<CampaignJournal>,
     /// The campaign fingerprint, computed whenever a journal path is
-    /// configured (even if opening it later degraded) — the provenance
+    /// configured (even if opening it later degraded): the provenance
     /// stamp for the coverage sidecar and derived round journals.
     fingerprint: Option<u32>,
-    telemetry: Telemetry,
+    /// Verdicts merged per fleet slot, for the heartbeat.
+    done_by_slot: Vec<u64>,
+    /// Process-lease deaths charged per mutant, with the reason of the
+    /// latest one.
+    blame: HashMap<usize, (u32, QuarantineReason)>,
 }
 
-impl JournalState {
-    /// `telemetry` is the campaign-scoped handle, so `journal` spans nest
-    /// under the `mutation` span in the flight recorder.
-    pub(crate) fn open(
+impl Ledger {
+    /// An empty ledger for `total` mutants merged from `slots` fleet
+    /// slots (0 for the inline slot alone), with no journal open yet.
+    pub(crate) fn new(total: usize, slots: usize, telemetry: Telemetry) -> Ledger {
+        Ledger {
+            slots: vec![None; total],
+            done: 0,
+            telemetry,
+            opened: false,
+            journal: None,
+            fingerprint: None,
+            done_by_slot: vec![0; slots],
+            blame: HashMap::new(),
+        }
+    }
+
+    pub(crate) fn telemetry(&self) -> &Telemetry {
+        &self.telemetry
+    }
+
+    /// Opens the journal at `config.journal_path` (with torn-tail
+    /// recovery), when one is configured, and replays its verified
+    /// verdicts into the slots. Replayed verdicts re-emit their
+    /// classification counters, plus one `mutation.replayed` each, so a
+    /// resumed run's counter totals match an uninterrupted run's.
+    pub(crate) fn open_journal(
+        &mut self,
         class_name: &str,
         suite: &TestSuite,
         mutants: &[Mutant],
         config: &MutationConfig,
-        telemetry: &Telemetry,
-    ) -> (JournalState, Vec<(usize, MutantStatus)>) {
-        let telemetry = telemetry.clone();
+    ) {
+        self.opened = true;
         let Some(path) = &config.journal_path else {
-            return (
-                JournalState {
-                    inner: None,
-                    fingerprint: None,
-                    telemetry,
-                },
-                Vec::new(),
-            );
+            return;
         };
-        let open_span = telemetry.span("journal", "open");
+        let open_span = self.telemetry.span("journal", "open");
         let fingerprint = campaign_fingerprint(class_name, suite, mutants, config);
+        self.fingerprint = Some(fingerprint);
         let resumed = if config.incremental {
             let features = crate::journal::method_fingerprints(class_name, suite, mutants, config);
             CampaignJournal::resume_incremental(path, fingerprint, &features, mutants.len()).map(
                 |resume| {
                     if resume.rebuilt {
-                        telemetry.incr("mutation.incremental_rebuild");
+                        self.telemetry.incr("mutation.incremental_rebuild");
                     }
                     (resume.journal, resume.replayed)
                 },
@@ -1062,27 +1017,30 @@ impl JournalState {
             CampaignJournal::resume(path, fingerprint, mutants.len())
         };
         open_span.finish();
-        match resumed {
-            Ok((journal, replayed)) => (
-                JournalState {
-                    inner: Some(journal),
-                    fingerprint: Some(fingerprint),
-                    telemetry,
-                },
-                replayed,
-            ),
-            Err(_) => {
-                telemetry.incr("harden.degraded");
-                (
-                    JournalState {
-                        inner: None,
-                        fingerprint: Some(fingerprint),
-                        telemetry,
-                    },
-                    Vec::new(),
-                )
+        let Ok((journal, replayed)) = resumed else {
+            self.telemetry.incr("harden.degraded");
+            return;
+        };
+        self.journal = Some(journal);
+        for (index, status) in replayed {
+            if self.is_done(index) || index >= self.slots.len() {
+                continue;
             }
+            record_status(&self.telemetry, &status);
+            self.telemetry.incr("mutation.replayed");
+            self.slots[index] = Some(status);
+            self.done += 1;
         }
+    }
+
+    /// Closes the journal. Every append was fsynced, so nothing is lost.
+    pub(crate) fn close_journal(&mut self) {
+        self.journal = None;
+    }
+
+    /// True once [`Ledger::open_journal`] ran.
+    pub(crate) fn is_open(&self) -> bool {
+        self.opened
     }
 
     /// The campaign fingerprint (`Some` whenever a journal path was
@@ -1091,122 +1049,179 @@ impl JournalState {
         self.fingerprint
     }
 
-    /// Write-ahead append of one verdict; called by the supervisor before
-    /// the verdict is merged into its slot.
-    pub(crate) fn record(&mut self, index: usize, status: &MutantStatus) {
-        if let Some(journal) = &mut self.inner {
+    pub(crate) fn total(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Mutants with a verdict (executed, replayed or convicted).
+    pub(crate) fn done(&self) -> usize {
+        self.done
+    }
+
+    pub(crate) fn unfinished(&self) -> usize {
+        self.slots.len() - self.done
+    }
+
+    pub(crate) fn is_done(&self, index: usize) -> bool {
+        self.slots.get(index).is_some_and(Option::is_some)
+    }
+
+    /// Merges one verdict: journaled first (write-ahead), then counted
+    /// and slotted. `slot` is the fleet slot that produced it (`None` for
+    /// the inline slot). Returns `false`, merging nothing, for an index
+    /// out of range or a mutant that already has its verdict.
+    pub(crate) fn merge(
+        &mut self,
+        index: usize,
+        status: MutantStatus,
+        slot: Option<usize>,
+    ) -> bool {
+        if index >= self.slots.len() || self.is_done(index) {
+            return false;
+        }
+        if let Some(journal) = &mut self.journal {
             let _span = self.telemetry.span("journal", "append");
-            if journal.record(index, status).is_err() {
+            if journal.record(index, &status).is_err() {
                 self.telemetry.incr("harden.degraded");
-                self.inner = None;
+                self.journal = None;
             }
         }
+        record_status(&self.telemetry, &status);
+        self.slots[index] = Some(status);
+        self.done += 1;
+        if let Some(count) = slot.and_then(|slot| self.done_by_slot.get_mut(slot)) {
+            *count += 1;
+        }
+        true
     }
-}
 
-/// Emits the `campaign.progress` heartbeat: mutants done / queued /
-/// quarantined, plus each worker's verdict count. The readings closure is
-/// lazy, so a disabled handle pays nothing.
-pub(crate) fn campaign_heartbeat(
-    telemetry: &Telemetry,
-    slots: &[Option<MutantResult>],
-    done_by_worker: &[u64],
-) {
-    telemetry.snapshot("campaign.progress", || {
-        let done = slots.iter().filter(|s| s.is_some()).count() as i64;
-        let quarantined = slots
+    /// The death ladder: charges a process-lease death to its in-flight
+    /// mutant and records how the shard died. A first death only
+    /// records the blame, because an innocent mutant killed from outside
+    /// must re-execute for byte-identical reports; a second death
+    /// convicts it, quarantined with that reason. Returns `false` when
+    /// the mutant already had its verdict, so the death charged nothing.
+    pub(crate) fn blame(&mut self, index: usize, reason: QuarantineReason, slot: usize) -> bool {
+        if index >= self.slots.len() || self.is_done(index) {
+            return false;
+        }
+        let deaths = self.blame.entry(index).or_insert((0, reason));
+        *deaths = (deaths.0 + 1, reason);
+        if deaths.0 >= 2 {
+            self.merge(index, MutantStatus::Quarantined { reason }, Some(slot));
+        }
+        true
+    }
+
+    /// Quarantines every unfinished mutant ever blamed for a shard death,
+    /// with the reason recorded at blame time: a known process-killer is
+    /// never run in-process.
+    pub(crate) fn convict_blamed(&mut self) {
+        let mut blamed: Vec<(usize, QuarantineReason)> = self
+            .blame
             .iter()
-            .filter(|s| matches!(s, Some(r) if r.status.is_quarantined()))
-            .count() as i64;
-        let mut readings = vec![
-            ("done".to_owned(), done),
-            ("queued".to_owned(), slots.len() as i64 - done),
-            ("quarantined".to_owned(), quarantined),
-        ];
-        for (worker, count) in done_by_worker.iter().enumerate() {
-            readings.push((format!("w{worker}.done"), *count as i64));
+            .map(|(&index, &(_, reason))| (index, reason))
+            .collect();
+        blamed.sort_by_key(|&(index, _)| index);
+        for (index, reason) in blamed {
+            self.merge(index, MutantStatus::Quarantined { reason }, None);
         }
-        readings
-    });
-}
-
-/// Surfaces `worker_restarts` exhaustion: previously the campaign slid
-/// silently into degraded completion; now the harness-health table gets a
-/// `mutation.restarts_exhausted` row and the flight recorder a
-/// `campaign.degraded` event recording how much work was left when the
-/// budget died.
-pub(crate) fn flag_restart_exhaustion(telemetry: &Telemetry, budget: usize, remaining: usize) {
-    telemetry.incr("mutation.restarts_exhausted");
-    telemetry.snapshot("campaign.degraded", || {
-        vec![
-            ("restarts_spent".to_owned(), budget as i64),
-            ("queued".to_owned(), remaining as i64),
-        ]
-    });
-}
-
-/// Pre-fills the merge slots with journal-replayed verdicts. Their
-/// classification counters are re-emitted (plus one `mutation.replayed`
-/// each) so a resumed run's per-status counter totals match an
-/// uninterrupted run's. Returns the slots and the done mask the engine
-/// skips by.
-pub(crate) fn replay_slots(
-    mutants: &[Mutant],
-    replayed: Vec<(usize, MutantStatus)>,
-    telemetry: &Telemetry,
-) -> (Vec<Option<MutantResult>>, Vec<bool>) {
-    let mut slots: Vec<Option<MutantResult>> = Vec::new();
-    slots.resize_with(mutants.len(), || None);
-    let mut done = vec![false; mutants.len()];
-    for (index, status) in replayed {
-        if done[index] {
-            continue;
-        }
-        record_status(telemetry, &status);
-        telemetry.incr("mutation.replayed");
-        slots[index] = Some(MutantResult {
-            mutant: mutants[index].clone(),
-            status,
-        });
-        done[index] = true;
     }
-    (slots, done)
+
+    /// Emits the `campaign.progress` heartbeat: mutants done / queued /
+    /// quarantined, plus each fleet slot's verdict count. The readings
+    /// closure is lazy, so a disabled handle pays nothing.
+    pub(crate) fn heartbeat(&self) {
+        self.telemetry.snapshot("campaign.progress", || {
+            let quarantined = self
+                .slots
+                .iter()
+                .filter(|s| s.as_ref().is_some_and(MutantStatus::is_quarantined))
+                .count() as i64;
+            let mut readings = vec![
+                ("done".to_owned(), self.done as i64),
+                ("queued".to_owned(), self.unfinished() as i64),
+                ("quarantined".to_owned(), quarantined),
+            ];
+            for (slot, count) in self.done_by_slot.iter().enumerate() {
+                readings.push((format!("w{slot}.done"), *count as i64));
+            }
+            readings
+        });
+    }
+
+    /// The verdicts in enumeration order. A mutant without one is
+    /// quarantined as [`QuarantineReason::WorkerCrash`] (fail-safe): that
+    /// is how a degraded fleet campaign's partial run shows its
+    /// unfinished mutants, and a completed campaign has none.
+    pub(crate) fn results(&self, mutants: &[Mutant]) -> Vec<MutantResult> {
+        mutants
+            .iter()
+            .zip(&self.slots)
+            .map(|(mutant, slot)| MutantResult {
+                mutant: mutant.clone(),
+                status: slot.clone().unwrap_or(MutantStatus::Quarantined {
+                    reason: QuarantineReason::WorkerCrash,
+                }),
+            })
+            .collect()
+    }
+
+    /// The completed run, with the `mutant.equivalent` gauge recorded.
+    pub(crate) fn finish(&self, mutants: &[Mutant], golden: SuiteResult) -> MutationRun {
+        let results = self.results(mutants);
+        let equivalents = results.iter().filter(|r| r.status.is_equivalent()).count();
+        self.telemetry
+            .gauge("mutant.equivalent", equivalents as i64);
+        MutationRun { results, golden }
+    }
 }
 
-/// Sequential heartbeat cadence: one `campaign.progress` snapshot per
+/// Inline-slot heartbeat cadence: one `campaign.progress` snapshot per
 /// this many verdicts (plus a final one).
 const HEARTBEAT_EVERY_VERDICTS: usize = 32;
 
-/// Parallel heartbeat cadence: the supervisor emits a snapshot when at
-/// least this long has passed since the previous one.
-pub(crate) const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(200);
-
-/// How long the supervisor blocks on the verdict channel before waking
-/// to consider a heartbeat.
-pub(crate) const SUPERVISOR_POLL: Duration = Duration::from_millis(100);
-
-/// Messages workers stream to the supervising thread.
-enum WorkerMsg {
-    /// One classified mutant (including worker-crash quarantines) from
-    /// the given worker; the supervisor journals it, then merges it into
-    /// its slot.
-    Verdict(usize, usize, MutantResult),
-    /// The sending worker retired: queue drained, or crashed.
-    Retired {
-        /// True when the worker's drain ended in a contained crash (or a
-        /// panic outside the drain loop entirely).
-        crashed: bool,
-    },
+/// The inline slot: classifies every unfinished mutant in enumeration
+/// order on the calling thread, with one harness, merging each verdict
+/// through `ledger`. It is the whole sequential path, and it finishes a
+/// solo campaign whose fleet degraded. A contained crash costs only its
+/// own mutant and the harness keeps going: every crash consumes (and
+/// quarantines) exactly one mutant, so the loop always ends.
+pub(crate) fn run_inline(
+    engine: &Engine<'_>,
+    factory: &dyn ComponentFactory,
+    switch: &MutationSwitch,
+    runner: &TestRunner,
+    mutants: &[Mutant],
+    ledger: &mut Ledger,
+) {
+    let telemetry = ledger.telemetry().clone();
+    let mut since_beat = 0usize;
+    for (index, mutant) in mutants.iter().enumerate() {
+        if ledger.is_done(index) {
+            continue;
+        }
+        let (status, _crashed) = engine.execute(factory, switch, runner, &telemetry, mutant);
+        ledger.merge(index, status, None);
+        since_beat += 1;
+        if since_beat >= HEARTBEAT_EVERY_VERDICTS {
+            since_beat = 0;
+            ledger.heartbeat();
+        }
+    }
+    switch.disarm();
+    ledger.heartbeat();
 }
 
-/// Runs a full mutation analysis, sequentially.
+/// Runs a full mutation analysis, sequentially, on the inline slot.
 ///
 /// `switch` must be the same [`MutationSwitch`] the factory's components
 /// read through — arming it is how a mutant becomes "compiled in". This
-/// is the `workers = 1` instantiation of the sharded engine behind
-/// [`run_mutation_analysis_parallel`]: same queue, same classifier, same
-/// verdicts — it merely borrows the caller's factory/switch pair instead
-/// of building per-worker ones.
+/// is the inline slot a degraded solo fleet campaign falls back to: same
+/// per-mutant step, same ledger, same verdicts as
+/// [`run_mutation_analysis_parallel`](crate::run_mutation_analysis_parallel)
+/// — it merely borrows the caller's factory/switch pair instead of
+/// building per-lease ones.
 ///
 /// # Examples
 ///
@@ -1223,288 +1238,20 @@ pub fn run_mutation_analysis(
     let run_span = config.telemetry.span("mutation", factory.class_name());
     // Everything inside the campaign emits through the scoped handle, so
     // golden/journal/mutant spans nest under the `mutation` root.
-    let scoped = config.telemetry.at(run_span.id());
-    let telemetry = &scoped;
-    let (mut journal, replayed) =
-        JournalState::open(factory.class_name(), suite, mutants, config, telemetry);
-    let runner = build_runner(config, telemetry);
+    let telemetry = config.telemetry.at(run_span.id());
+    let mut ledger = Ledger::new(mutants.len(), 0, telemetry.clone());
+    ledger.open_journal(factory.class_name(), suite, mutants, config);
+    let runner = build_runner(config, &telemetry);
     // Instrumented reads double as cancellation points: the watchdog's
     // token must be visible to the switch for a hung mutant to unwind.
     switch.set_cancel_token(runner.cancel_token().clone());
     switch.disarm();
-    let baseline = run_golden(&runner, factory, suite, mutants, config, telemetry);
-    persist_coverage(config, &baseline, journal.fingerprint(), telemetry);
-    let (mut slots, done) = replay_slots(mutants, replayed, telemetry);
-    let engine = Engine::new(suite, mutants, config, &baseline, done);
-    // Crash containment without a replacement harness: the caller owns
-    // this factory/switch pair, so after a contained crash the same
-    // harness keeps draining. Progress is guaranteed — every crash
-    // consumes (and quarantines) exactly one mutant.
-    loop {
-        let mut since_beat = 0usize;
-        let mut emit = |index: usize, result: MutantResult| {
-            journal.record(index, &result.status);
-            slots[index] = Some(result);
-            since_beat += 1;
-            if since_beat >= HEARTBEAT_EVERY_VERDICTS {
-                since_beat = 0;
-                campaign_heartbeat(telemetry, &slots, &[]);
-            }
-        };
-        if let DrainEnd::Drained = engine.drain(factory, switch, &runner, telemetry, &mut emit) {
-            break;
-        }
-    }
-    switch.disarm();
+    let baseline = run_golden(&runner, factory, suite, mutants, config, &telemetry);
+    persist_coverage(config, &baseline, ledger.fingerprint(), &telemetry);
+    let engine = Engine::new(suite, config, &baseline);
+    run_inline(&engine, factory, switch, &runner, mutants, &mut ledger);
     switch.clear_cancel_token();
-    campaign_heartbeat(telemetry, &slots, &[]);
-    let results = collect_slots(mutants, slots);
-    finish_run(telemetry, results, baseline.golden)
-}
-
-/// Collapses the merge slots into the final result vector. The engine
-/// guarantees every slot was claimed, classified or replayed; should
-/// that invariant ever break, the affected mutant is quarantined
-/// (fail-safe) instead of panicking away an otherwise complete campaign.
-pub(crate) fn collect_slots(
-    mutants: &[Mutant],
-    slots: Vec<Option<MutantResult>>,
-) -> Vec<MutantResult> {
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(index, slot)| {
-            slot.unwrap_or_else(|| MutantResult {
-                mutant: mutants[index].clone(),
-                status: MutantStatus::Quarantined {
-                    reason: QuarantineReason::WorkerCrash,
-                },
-            })
-        })
-        .collect()
-}
-
-/// Runs a full mutation analysis across `config.workers` sharded workers.
-///
-/// Every worker owns its own component factory (built through the
-/// [`ClonableFactory`] seam), [`MutationSwitch`], [`TestRunner`] and —
-/// when the budget carries a deadline — watchdog thread and cancel token,
-/// so a hanging mutant stalls only the worker that claimed it. Workers
-/// pull mutant indices from a shared queue and results are merged back in
-/// enumeration order, which makes the output **byte-identical for every
-/// worker count**: same verdict vector, same score, same report tables.
-///
-/// The golden run and golden probe runs are computed once, up front, and
-/// shared immutably. Each worker records telemetry into a private buffer
-/// that is absorbed into `config.telemetry` in worker spawn order after
-/// the pool retires ([`Telemetry::absorb`]), so counter totals and span
-/// histograms aggregate across workers; a `mutation.workers` gauge records
-/// the effective worker count.
-///
-/// # Supervision and durability
-///
-/// Workers stream each verdict to a supervising loop on the calling
-/// thread, which journals it (when `config.journal_path` is set) before
-/// merging it into its enumeration-order slot. A worker panic is
-/// contained: the in-flight mutant is quarantined with
-/// [`QuarantineReason::WorkerCrash`], and the supervisor respawns a
-/// replacement worker while the `config.worker_restarts` budget lasts —
-/// once exhausted the campaign degrades to the surviving workers (and,
-/// if all are gone, finishes inline on the calling thread) rather than
-/// aborting and discarding partial results. On restart with the same
-/// journal path, verified verdicts are replayed and only unfinished
-/// mutants re-execute; the merged output stays byte-identical to an
-/// uninterrupted run.
-pub fn run_mutation_analysis_parallel(
-    shards: &dyn ClonableFactory,
-    suite: &TestSuite,
-    mutants: &[Mutant],
-    config: &MutationConfig,
-) -> MutationRun {
-    if let IsolationMode::Process(spec) = &config.isolation {
-        return crate::shard::run_process_shards(shards, suite, mutants, config, spec);
-    }
-    let _hook_guard = config.silence_panics.then(PanicSilencer::install);
-    let run_span = config.telemetry.span("mutation", shards.class_name());
-    let scoped = config.telemetry.at(run_span.id());
-    let telemetry = &scoped;
-    let (mut journal, replayed) =
-        JournalState::open(shards.class_name(), suite, mutants, config, telemetry);
-
-    // Golden shard: the baseline is computed once and shared read-only.
-    let golden_switch = MutationSwitch::new();
-    let golden_factory = shards.build_factory(&golden_switch);
-    let runner = build_runner(config, telemetry);
-    golden_switch.set_cancel_token(runner.cancel_token().clone());
-    let baseline = run_golden(
-        &runner,
-        golden_factory.as_ref(),
-        suite,
-        mutants,
-        config,
-        telemetry,
-    );
-    golden_switch.clear_cancel_token();
-    persist_coverage(config, &baseline, journal.fingerprint(), telemetry);
-
-    // The gauge reflects the configured pool for the whole campaign (not
-    // the post-replay remainder), so a resumed run renders the same
-    // harness-health row as the uninterrupted one.
-    let workers = config.workers.clamp(1, mutants.len().max(1));
-    telemetry.gauge("mutation.workers", workers as i64);
-
-    let (mut slots, done) = replay_slots(mutants, replayed, telemetry);
-    let engine = Engine::new(suite, mutants, config, &baseline, done);
-    let remaining = slots.iter().filter(|slot| slot.is_none()).count();
-
-    // One private event buffer per worker (including respawned ones),
-    // absorbed in spawn order after the pool retires so the parent's
-    // event stream is reproducible.
-    let mut sinks: Vec<Arc<MemorySink>> = Vec::new();
-    let mut done_by_worker: Vec<u64> = vec![0; workers];
-    if remaining > 0 {
-        std::thread::scope(|scope| {
-            let engine = &engine;
-            let (tx, rx) = mpsc::channel::<WorkerMsg>();
-            let spawn_worker = |worker: usize, sink: Option<Arc<MemorySink>>| {
-                let tx = tx.clone();
-                scope.spawn(move || {
-                    let worker_telemetry = match &sink {
-                        Some(sink) => Telemetry::new(sink.clone()),
-                        None => Telemetry::disabled(),
-                    };
-                    let verdict_tx = tx.clone();
-                    // The drain already contains classifier panics; this
-                    // outer catch additionally contains harness panics
-                    // (factory construction, runner setup), so no panic
-                    // path can take the campaign down with it.
-                    let body = AssertUnwindSafe(|| {
-                        // The worker span roots this worker's private
-                        // stream; absorb_under grafts it beneath the
-                        // campaign span, and the trace exporter gives it
-                        // its own thread track.
-                        let worker_span =
-                            worker_telemetry.span_with("worker", || format!("w{worker}"));
-                        let worker_scoped = worker_telemetry.at(worker_span.id());
-                        let switch = MutationSwitch::new();
-                        let factory = shards.build_factory(&switch);
-                        let runner = build_runner(engine.config, &worker_scoped);
-                        switch.set_cancel_token(runner.cancel_token().clone());
-                        let mut emit = |index: usize, result: MutantResult| {
-                            let _ = verdict_tx.send(WorkerMsg::Verdict(worker, index, result));
-                        };
-                        let end = engine.drain(
-                            factory.as_ref(),
-                            &switch,
-                            &runner,
-                            &worker_scoped,
-                            &mut emit,
-                        );
-                        switch.disarm();
-                        switch.clear_cancel_token();
-                        worker_span.finish();
-                        end
-                    });
-                    let crashed = !matches!(catch_unwind(body), Ok(DrainEnd::Drained));
-                    let _ = tx.send(WorkerMsg::Retired { crashed });
-                });
-            };
-            let mut fresh_sink = || {
-                let sink = telemetry.is_enabled().then(|| Arc::new(MemorySink::new()));
-                if let Some(sink) = &sink {
-                    sinks.push(sink.clone());
-                }
-                sink
-            };
-            let mut active = 0usize;
-            let mut next_worker = 0usize;
-            for _ in 0..workers {
-                spawn_worker(next_worker, fresh_sink());
-                next_worker += 1;
-                active += 1;
-            }
-            // Supervisor: per-sender FIFO guarantees a worker's verdicts
-            // all arrive before its retirement message, so when the last
-            // worker retires every streamed verdict has been merged. The
-            // bounded wait keeps the heartbeat alive while a slow mutant
-            // holds every worker busy.
-            let mut restarts_left = config.worker_restarts;
-            let mut exhaustion_flagged = false;
-            let mut last_beat = Instant::now();
-            while active > 0 {
-                match rx.recv_timeout(SUPERVISOR_POLL) {
-                    Ok(WorkerMsg::Verdict(worker, index, result)) => {
-                        journal.record(index, &result.status);
-                        slots[index] = Some(result);
-                        if worker >= done_by_worker.len() {
-                            done_by_worker.resize(worker + 1, 0);
-                        }
-                        done_by_worker[worker] += 1;
-                    }
-                    Ok(WorkerMsg::Retired { crashed }) => {
-                        active -= 1;
-                        if crashed && engine.has_unclaimed_work() {
-                            if restarts_left > 0 {
-                                restarts_left -= 1;
-                                spawn_worker(next_worker, fresh_sink());
-                                next_worker += 1;
-                                active += 1;
-                            } else if !exhaustion_flagged {
-                                exhaustion_flagged = true;
-                                flag_restart_exhaustion(
-                                    telemetry,
-                                    config.worker_restarts,
-                                    slots.iter().filter(|s| s.is_none()).count(),
-                                );
-                            }
-                        }
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {}
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                }
-                if telemetry.is_enabled() && last_beat.elapsed() >= HEARTBEAT_INTERVAL {
-                    last_beat = Instant::now();
-                    campaign_heartbeat(telemetry, &slots, &done_by_worker);
-                }
-            }
-        });
-    }
-    // Degraded completion: if the restart budget ran out with work still
-    // unclaimed (every worker crashed), finish inline on this thread —
-    // partial results are never discarded.
-    while engine.has_unclaimed_work() {
-        let switch = MutationSwitch::new();
-        let factory = shards.build_factory(&switch);
-        let inline_runner = build_runner(config, telemetry);
-        switch.set_cancel_token(inline_runner.cancel_token().clone());
-        let mut emit = |index: usize, result: MutantResult| {
-            journal.record(index, &result.status);
-            slots[index] = Some(result);
-        };
-        let end = engine.drain(
-            factory.as_ref(),
-            &switch,
-            &inline_runner,
-            telemetry,
-            &mut emit,
-        );
-        switch.disarm();
-        switch.clear_cancel_token();
-        if let DrainEnd::Drained = end {
-            break;
-        }
-    }
-    campaign_heartbeat(telemetry, &slots, &done_by_worker);
-    // The merge span covers absorbing the per-worker streams (grafted
-    // under the campaign span so worker trees stay causal subtrees) and
-    // collapsing the verdict slots.
-    let merge_span = telemetry.span("merge", shards.class_name());
-    for sink in sinks {
-        telemetry.absorb_under(&sink.events(), run_span.id());
-    }
-    let results = collect_slots(mutants, slots);
-    merge_span.finish();
-    finish_run(telemetry, results, baseline.golden)
+    ledger.finish(mutants, baseline.golden)
 }
 
 /// Decides whether an observed run must be quarantined: any harness stop
@@ -1513,7 +1260,7 @@ pub fn run_mutation_analysis_parallel(
 /// environment-threatening. `golden` is the pre-built [`StatusIndex`] of
 /// the matching golden run.
 fn quarantine_reason(
-    golden: &StatusIndex<'_>,
+    golden: &StatusIndex,
     observed: &SuiteResult,
     crash_threshold: Option<usize>,
 ) -> Option<QuarantineReason> {
@@ -1602,13 +1349,16 @@ impl Drop for PanicSilencer {
 mod tests {
     use super::*;
     use crate::enumerate::enumerate_mutants;
-    use crate::fault::VarEnv;
+    use crate::fault::{ClonableFactory, VarEnv};
     use crate::inventory::{ClassInventory, MethodInventory};
+    use crate::orchestrator::run_mutation_analysis_parallel;
     use concat_bit::{BitControl, BuiltInTest, StateReport, TestableComponent};
     use concat_driver::{MethodCall, SuiteStats, TestCase};
+    use concat_obs::MemorySink;
     use concat_runtime::{
         args, unknown_method, AssertionViolation, Component, InvokeResult, TestException, Value,
     };
+    use std::sync::Arc;
 
     /// Accumulator with one instrumented method: `AddTwice(q)` adds `q`
     /// twice using a local `step` read through two sites.
@@ -1937,7 +1687,7 @@ mod tests {
         let sequential = analyze(5, vec![suite(7)]);
         for workers in [1, 2, 8] {
             let run = run_mutation_analysis_parallel(
-                &AccShards,
+                Arc::new(AccShards),
                 &suite(5),
                 &mutants,
                 &MutationConfig {
@@ -1960,7 +1710,7 @@ mod tests {
         let sink = Arc::new(MemorySink::new());
         let mutants = enumerate_mutants(&inventory(), &["AddTwice"]);
         let run = run_mutation_analysis_parallel(
-            &AccShards,
+            Arc::new(AccShards),
             &suite(5),
             &mutants,
             &MutationConfig {
@@ -2127,7 +1877,7 @@ mod tests {
         for workers in [1, 2, 4] {
             let sink = Arc::new(MemorySink::new());
             let run = run_mutation_analysis_parallel(
-                &GrenadeShards,
+                Arc::new(GrenadeShards),
                 &suite(5),
                 &mutants,
                 &MutationConfig {
@@ -2150,7 +1900,7 @@ mod tests {
         let mutants = enumerate_mutants(&inventory(), &["AddTwice"]);
         let baseline = analyze(5, vec![]);
         let run = run_mutation_analysis_parallel(
-            &GrenadeShards,
+            Arc::new(GrenadeShards),
             &suite(5),
             &mutants,
             &MutationConfig {
@@ -2159,10 +1909,70 @@ mod tests {
                 ..MutationConfig::default()
             },
         );
-        // No respawns: once both workers crash, the campaign finishes
-        // inline on the calling thread — never aborting with partial
-        // results discarded.
+        // A spent restart budget is flagged, not fatal: the fleet keeps
+        // leasing (each crash costs only its own mutant), and the campaign
+        // completes — never aborting with partial results discarded.
         assert_contained(&run, &baseline);
+    }
+
+    /// `Acc` shards that fleet slots can build only `spare` times: every
+    /// later build off the calling thread panics. With `spare = 0` the
+    /// fleet's golden run fails; with `spare = 1` the golden run works and
+    /// every lease setup fails. Either way the fleet degrades the campaign.
+    struct HomeBoundShards {
+        home: std::thread::ThreadId,
+        spare: std::sync::atomic::AtomicUsize,
+    }
+
+    impl ClonableFactory for HomeBoundShards {
+        fn class_name(&self) -> &str {
+            "Acc"
+        }
+        fn build_factory(&self, switch: &MutationSwitch) -> Box<dyn ComponentFactory> {
+            use std::sync::atomic::Ordering::SeqCst;
+            let spare = self
+                .spare
+                .fetch_update(SeqCst, SeqCst, |n| n.checked_sub(1));
+            assert!(
+                std::thread::current().id() == self.home || spare.is_ok(),
+                "this subject cannot be built on a fleet slot"
+            );
+            Box::new(AccFactory {
+                switch: switch.clone(),
+            })
+        }
+    }
+
+    #[test]
+    fn degraded_solo_campaign_finishes_on_the_inline_slot() {
+        let mutants = enumerate_mutants(&inventory(), &["AddTwice"]);
+        let sequential = analyze(5, vec![]);
+        for spare in [0, 1] {
+            let sink = Arc::new(MemorySink::new());
+            let shards = HomeBoundShards {
+                home: std::thread::current().id(),
+                spare: spare.into(),
+            };
+            let run = run_mutation_analysis_parallel(
+                Arc::new(shards),
+                &suite(5),
+                &mutants,
+                &MutationConfig {
+                    workers: 2,
+                    telemetry: Telemetry::new(sink.clone()),
+                    ..MutationConfig::default()
+                },
+            );
+            assert_eq!(
+                run.results, sequential.results,
+                "spare = {spare}: the solo API finishes inline, never a partial run"
+            );
+            assert_eq!(sink.span_count("mutant"), run.total(), "spare = {spare}");
+            assert!(
+                sink.counter_total("mutation.worker_crash") > 0,
+                "spare = {spare}: the fleet slots really failed"
+            );
+        }
     }
 
     #[test]
@@ -2179,13 +1989,23 @@ mod tests {
             ..MutationConfig::default()
         };
         let sink = Arc::new(MemorySink::new());
-        let first = run_mutation_analysis_parallel(&AccShards, &suite(5), &mutants, &config(&sink));
+        let first = run_mutation_analysis_parallel(
+            Arc::new(AccShards),
+            &suite(5),
+            &mutants,
+            &config(&sink),
+        );
         assert_eq!(sink.counter_total("mutation.replayed"), 0);
 
         // The journal now holds every verdict: a rerun replays them all
         // and produces a byte-identical run without re-executing mutants.
         let sink = Arc::new(MemorySink::new());
-        let again = run_mutation_analysis_parallel(&AccShards, &suite(5), &mutants, &config(&sink));
+        let again = run_mutation_analysis_parallel(
+            Arc::new(AccShards),
+            &suite(5),
+            &mutants,
+            &config(&sink),
+        );
         assert_eq!(again.results, first.results);
         assert_eq!(again.score(), first.score());
         assert_eq!(
@@ -2197,7 +2017,12 @@ mod tests {
         // A different campaign fingerprint (different suite) resets the
         // journal instead of replaying foreign verdicts.
         let sink = Arc::new(MemorySink::new());
-        let other = run_mutation_analysis_parallel(&AccShards, &suite(7), &mutants, &config(&sink));
+        let other = run_mutation_analysis_parallel(
+            Arc::new(AccShards),
+            &suite(7),
+            &mutants,
+            &config(&sink),
+        );
         assert_eq!(sink.counter_total("mutation.replayed"), 0);
         assert_eq!(other.total(), mutants.len());
         std::fs::remove_dir_all(&dir).unwrap();

@@ -114,17 +114,17 @@ pub fn coerce_int(v: &Value) -> i64 {
     }
 }
 
-/// The per-worker factory seam of the sharded mutation engine.
+/// The per-lease factory seam of the parallel mutation executor.
 ///
 /// A [`MutationSwitch`] holds exactly one armed plan, so concurrent
-/// workers cannot share one: each worker needs its own switch and a
+/// leases cannot share one: each lease needs its own switch and a
 /// component factory whose instrumented reads go through *that* switch.
 /// A `ClonableFactory` is the prototype that rebinds the component
-/// family to a worker-local switch.
+/// family to a lease-local switch.
 ///
 /// The builder crosses threads (hence `Send + Sync`); the factory it
-/// builds never leaves its worker, so `build_factory` can return plain
-/// single-threaded factories — including ones that are not `Send`.
+/// builds never leaves its slot thread, so `build_factory` can return
+/// plain single-threaded factories — including ones that are not `Send`.
 pub trait ClonableFactory: Send + Sync {
     /// Class name of the components the built factories construct.
     fn class_name(&self) -> &str;

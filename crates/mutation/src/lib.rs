@@ -17,15 +17,19 @@
 //!   mutant (components read instrumented variables through the switch);
 //! * [`run_mutation_analysis`] — golden run, per-mutant execution, kill
 //!   classification (crash / assertion violation / output difference),
-//!   equivalence probing, and the [`MutationRun`] scores;
-//! * [`run_mutation_analysis_parallel`] / [`ClonableFactory`] — the same
-//!   analysis sharded across a supervised worker pool, each worker owning
-//!   its own factory/switch/runner/watchdog, with crash containment
-//!   (a panicking worker quarantines only its in-flight mutant and is
-//!   respawned under a restart budget) and a deterministic merge so every
-//!   worker count yields byte-identical verdicts;
+//!   equivalence probing, and the [`MutationRun`] scores, all on the
+//!   calling thread (the *inline slot*);
+//! * [`Orchestrator`] — the one parallel executor: a supervised fleet of
+//!   slot workers leasing mutants from any number of campaigns, with
+//!   crash containment (a crash costs at most its in-flight mutant),
+//!   priorities, admission control, cancellation and budgets;
+//! * [`run_mutation_analysis_parallel`] / [`ClonableFactory`] — a solo
+//!   campaign on an ephemeral fleet of `workers` slots, each lease owning
+//!   its own factory/switch/runner/watchdog, merged by enumeration index
+//!   so every worker count yields byte-identical verdicts; a campaign the
+//!   fleet gives up on is finished on the inline slot;
 //! * [`IsolationMode`] / [`ProcessIsolation`] / [`run_shard_worker`] —
-//!   optional process isolation for the sharded analysis: shards become
+//!   the lease kind: thread leases, or process leases whose shards are
 //!   child processes streaming verdicts over a checksummed frame
 //!   protocol, so a mutant that aborts or spins without a checkpoint
 //!   loses only itself (quarantined with a shard-level
@@ -74,9 +78,8 @@ pub use amplify::{
     amplify_suite, amplify_suite_parallel, AmplifyConfig, AmplifyOutcome, RoundReport,
 };
 pub use analysis::{
-    load_campaign_coverage, run_mutation_analysis, run_mutation_analysis_parallel, IsolationMode,
-    KillReason, MutantResult, MutantStatus, MutationConfig, MutationRun, ProcessIsolation,
-    QuarantineReason,
+    load_campaign_coverage, run_mutation_analysis, IsolationMode, KillReason, MutantResult,
+    MutantStatus, MutationConfig, MutationRun, ProcessIsolation, QuarantineReason,
 };
 pub use enumerate::{enumerate_mutants, expected_count, Mutant};
 pub use fault::{coerce_int, ClonableFactory, FaultPlan, MutationSwitch, Replacement, VarEnv};
@@ -88,8 +91,9 @@ pub use journal::{
 pub use matrix::{CellStats, MutationMatrix};
 pub use operators::{MutationOperator, ReqConst};
 pub use orchestrator::{
-    CampaignEnd, CampaignId, CampaignOutcome, CampaignPhase, CampaignRequest, CampaignStatus,
-    DegradeReason, Orchestrator, OrchestratorConfig, SlotConfig, SubmitError,
+    run_mutation_analysis_parallel, CampaignEnd, CampaignId, CampaignOutcome, CampaignPhase,
+    CampaignRequest, CampaignStatus, DegradeReason, Orchestrator, OrchestratorConfig, SlotConfig,
+    SubmitError,
 };
 pub use shard::{
     run_shard_worker, shard_worker_requested, SHARD_FINGERPRINT_ENV, SHARD_INDICES_ENV,

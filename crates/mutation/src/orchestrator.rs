@@ -1,13 +1,15 @@
-//! Fault-tolerant campaign orchestration: many campaigns, one supervised
-//! scheduler.
+//! The mutant executor: a supervised fleet of slot workers that leases
+//! mutants from any number of campaigns.
 //!
-//! [`run_mutation_analysis_parallel`](crate::run_mutation_analysis_parallel)
-//! runs *one* campaign to completion and returns. A component vendor
-//! qualifying a family of self-testable components runs many campaigns at
-//! once, and must not let one pathological subject starve, corrupt, or
-//! take down the rest. The [`Orchestrator`] is the layer above the
-//! per-campaign machinery: a long-running service owning a global fleet
-//! of slot workers that multiplexes mutants from every active campaign.
+//! Every parallel or process-isolated campaign runs here. A component
+//! vendor qualifying a family of self-testable components runs many
+//! campaigns at once through a long-running [`Orchestrator`], and must
+//! not let one pathological subject starve, corrupt, or take down the
+//! rest. A solo campaign ([`run_mutation_analysis_parallel`]) is an
+//! ephemeral fleet of `workers` slots serving that one campaign; the
+//! sequential [`run_mutation_analysis`](crate::run_mutation_analysis)
+//! is the inline slot, which also finishes a solo campaign whose fleet
+//! degraded.
 //!
 //! * **Queue** — [`Orchestrator::submit`] / [`Orchestrator::status`] /
 //!   [`Orchestrator::cancel`] / [`Orchestrator::list`]. Each submitted
@@ -15,13 +17,18 @@
 //!   journal path, isolation), a priority, and an optional campaign-level
 //!   mutant budget. Admission is bounded: a full queue rejects with
 //!   [`SubmitError::QueueFull`] instead of growing without limit.
+//! * **Leases** — [`IsolationMode`] picks the lease kind. A thread lease
+//!   builds its own factory/switch/runner in the slot thread; a process
+//!   lease spawns a shard worker ([`crate::run_shard_worker`]) and relays
+//!   its verdict frames under heartbeat liveness. Both classify with the
+//!   same per-mutant step and stream verdicts to the supervisor.
 //! * **Scheduler** — work-stealing over fleet slots: any free slot takes
 //!   a lease of mutants from any runnable campaign. Fairness is
 //!   starvation-free by aging (a campaign passed over gains effective
 //!   priority each round), so a low-priority campaign always progresses.
 //! * **Isolation of failure** — a crashed or hung lease costs its owning
-//!   campaign exactly the in-flight mutant (the retry-once-then-quarantine
-//!   ladder of the process shards), a cancelled campaign tears down
+//!   campaign at most the in-flight mutant (retried once, then
+//!   quarantined), a cancelled campaign tears down
 //!   cleanly with its journal flushed (resumable via the incremental
 //!   path), budget exhaustion degrades only its own campaign to
 //!   [`DegradeReason::BudgetExhausted`], and cancelling the service-level
@@ -32,18 +39,17 @@
 //!
 //! The non-negotiable invariant: every campaign's verdicts, score, and
 //! report are **byte-identical** to running that campaign alone, for any
-//! interleaving, fleet size, and cancel/crash schedule of its neighbors.
-//! The mechanism is the same as the worker pool's: verdicts are
-//! deterministic per mutant, merged by enumeration index, and a verdict
-//! is only merged while its campaign is healthy — a draining campaign
-//! discards late verdicts so its journal holds exactly the verified
-//! prefix a resume replays.
+//! interleaving, fleet size, lease kind, and cancel/crash schedule of its
+//! neighbors. Verdicts are deterministic per mutant and merged by
+//! enumeration index through the campaign's one verdict ledger, and a
+//! verdict is only merged while its campaign is healthy — a draining
+//! campaign discards late verdicts so its journal holds exactly the
+//! verified prefix a resume replays.
 
 use crate::analysis::{
-    build_runner, campaign_heartbeat, collect_slots, finish_run, flag_restart_exhaustion,
-    persist_coverage, record_status, replay_slots, Engine, GoldenBaseline, JournalState,
-    MutantResult, MutantStatus, MutationConfig, MutationRun, PanicSilencer, ProcessIsolation,
-    QuarantineReason, HEARTBEAT_INTERVAL, SUPERVISOR_POLL,
+    build_runner, persist_coverage, run_golden, run_inline, Engine, GoldenBaseline, IsolationMode,
+    Ledger, MutantStatus, MutationConfig, MutationRun, PanicSilencer, ProcessIsolation,
+    QuarantineReason,
 };
 use crate::enumerate::Mutant;
 use crate::fault::{ClonableFactory, MutationSwitch};
@@ -52,7 +58,7 @@ use crate::shard::{
     death_reason, parse_frame, ShardFrame, SHARD_FINGERPRINT_ENV, SHARD_INDICES_ENV,
 };
 use concat_driver::{SuiteResult, TestSuite};
-use concat_obs::{Event, MemorySink, Span, Telemetry};
+use concat_obs::{Span, Telemetry};
 use concat_runtime::{
     classify_exit, terminate_child, wait_with_deadline, CancelToken, ExitClass, FrameDecoder,
     Liveness, Rng,
@@ -66,12 +72,12 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Per-slot supervision deadlines, configurable per campaign so one
+/// Per-slot supervision deadlines, taken per campaign so one
 /// slow-starting subject is not falsely convicted `ShardUnresponsive` by
-/// deadlines tuned for its faster neighbors. Defaults mirror
-/// [`ProcessIsolation::new`]; a campaign whose config carries a process
-/// isolation spec inherits that spec's deadlines unless
-/// [`CampaignRequest::slot`] overrides them.
+/// deadlines tuned for its faster neighbors. A campaign whose config
+/// carries a process isolation spec runs under that spec's deadlines;
+/// thread campaigns show the defaults, which mirror
+/// [`ProcessIsolation::new`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotConfig {
     /// First-frame deadline for a process lease: spawn plus the shard's
@@ -95,20 +101,16 @@ impl Default for SlotConfig {
 }
 
 impl SlotConfig {
-    /// The effective per-campaign deadlines: an explicit override wins,
-    /// else a process-isolated campaign inherits its spec's deadlines,
-    /// else the defaults.
-    fn effective(explicit: Option<SlotConfig>, config: &MutationConfig) -> SlotConfig {
-        if let Some(cfg) = explicit {
-            return cfg;
-        }
+    /// The deadlines a campaign's leases run under: its process
+    /// isolation spec's, else the defaults.
+    fn effective(config: &MutationConfig) -> SlotConfig {
         match &config.isolation {
-            crate::analysis::IsolationMode::Process(spec) => SlotConfig {
+            IsolationMode::Process(spec) => SlotConfig {
                 startup_grace: spec.startup_grace,
                 heartbeat_timeout: spec.heartbeat_timeout,
                 term_grace: spec.term_grace,
             },
-            crate::analysis::IsolationMode::InThread => SlotConfig::default(),
+            IsolationMode::InThread => SlotConfig::default(),
         }
     }
 }
@@ -123,7 +125,11 @@ pub struct OrchestratorConfig {
     pub capacity: usize,
     /// Mutants handed out per lease. Small leases interleave campaigns
     /// finely (better fairness); large leases amortize per-lease setup —
-    /// in particular a process lease pays one shard golden run.
+    /// in particular a process lease pays one shard golden run. `0`
+    /// sizes leases per campaign from the fleet and the work left, as a
+    /// solo campaign does: one mutant per thread lease, and
+    /// `ceil(unfinished / slots)` per process lease, so each slot spawns
+    /// one shard.
     pub lease_size: usize,
     /// Fleet-level telemetry: `orchestrator.*` counters and the
     /// `orchestrator.progress` snapshot. Per-campaign telemetry lives on
@@ -165,8 +171,7 @@ impl fmt::Display for CampaignId {
 }
 
 /// One campaign submitted to the service: the same inputs
-/// [`run_mutation_analysis_parallel`](crate::run_mutation_analysis_parallel)
-/// takes, plus scheduling metadata.
+/// [`run_mutation_analysis_parallel`] takes, plus scheduling metadata.
 pub struct CampaignRequest {
     /// Human-readable campaign name (status listings, the demo server's
     /// manifest). Not required to be unique — [`CampaignId`] is.
@@ -192,9 +197,6 @@ pub struct CampaignRequest {
     /// unfinished in the journal, so a resubmit with a bigger budget
     /// resumes where it stopped.
     pub mutant_budget: Option<u64>,
-    /// Per-campaign slot deadlines; `None` derives them from the config
-    /// (see [`SlotConfig::effective`]).
-    pub slot: Option<SlotConfig>,
 }
 
 /// Why a submit was refused.
@@ -369,10 +371,24 @@ struct CampaignRuntime {
     fingerprint: u32,
 }
 
+/// What a degraded solo campaign hands back to
+/// [`run_mutation_analysis_parallel`] so the inline slot can finish it:
+/// the ledger (merged verdicts, journal, blame), the golden baseline when
+/// one was prepared, and the still-open campaign span the inline
+/// verdicts nest under.
+struct Handback {
+    ledger: Ledger,
+    runtime: Option<Arc<CampaignRuntime>>,
+    root: Option<Span>,
+}
+
 /// Client → supervisor commands.
 enum Command {
+    /// A campaign, plus the channel a solo campaign's ledger is handed
+    /// back on should it degrade.
     Submit(
         Box<CampaignRequest>,
+        Option<mpsc::Sender<Handback>>,
         mpsc::Sender<Result<CampaignId, SubmitError>>,
     ),
     Cancel(CampaignId, mpsc::Sender<bool>),
@@ -415,7 +431,6 @@ enum Msg {
         slot: usize,
         id: CampaignId,
         baseline: Option<Box<GoldenBaseline>>,
-        events: Vec<Event>,
     },
     Verdict {
         slot: usize,
@@ -427,24 +442,28 @@ enum Msg {
         slot: usize,
         id: CampaignId,
         outcome: LeaseOutcome,
-        events: Vec<Event>,
     },
 }
 
-/// Supervisor → slot worker commands.
+/// Supervisor → slot worker commands. Each carries the campaign
+/// telemetry the slot emits into directly: scoped at the campaign span
+/// for the golden run, at the slot's `worker` span for leases.
 enum SlotCmd {
     Prepare {
         data: Arc<CampaignData>,
+        telemetry: Telemetry,
     },
     ThreadLease {
         rt: Arc<CampaignRuntime>,
         indices: Vec<usize>,
+        telemetry: Telemetry,
     },
     ProcessLease {
         rt: Arc<CampaignRuntime>,
         indices: Vec<usize>,
         spec: ProcessIsolation,
         slot_cfg: SlotConfig,
+        telemetry: Telemetry,
     },
     Shutdown,
 }
@@ -459,10 +478,12 @@ struct Campaign {
     spec: Option<ProcessIsolation>,
     phase: CampaignPhase,
     rt: Option<Arc<CampaignRuntime>>,
-    journal: Option<JournalState>,
-    slots: Vec<Option<MutantResult>>,
+    /// Merged verdicts, journal and blame; its telemetry is the campaign
+    /// telemetry scoped at the root span.
+    ledger: Ledger,
     leased: Vec<bool>,
-    deaths: HashMap<usize, u32>,
+    /// Mutants per lease, fixed once the campaign is prepared.
+    lease_size: usize,
     executed: u64,
     replayed: u64,
     crashes: u64,
@@ -483,31 +504,25 @@ struct Campaign {
     pending_end: Option<CampaignPhase>,
     outcome: Option<CampaignOutcome>,
     waiters: Vec<mpsc::Sender<Option<CampaignOutcome>>>,
-    /// Campaign root span on the campaign's own telemetry; lease event
-    /// streams are grafted under it.
+    /// Campaign root span on the campaign's own telemetry.
     root: Option<Span>,
-    /// Campaign telemetry scoped at the root span.
-    telemetry: Telemetry,
-    done_by_slot: Vec<u64>,
+    /// Per fleet slot, the `worker` span this campaign's leases on that
+    /// slot nest under: opened at the slot's first lease, closed at
+    /// finalize — one trace track per slot.
+    workers: Vec<Option<Span>>,
+    /// Set for a solo campaign: where its ledger goes if it degrades.
+    handback: Option<mpsc::Sender<Handback>>,
     last_beat: Instant,
 }
 
 impl Campaign {
-    fn done(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
-    }
-
-    fn unfinished(&self) -> usize {
-        self.slots.len() - self.done()
-    }
-
     fn status(&self) -> CampaignStatus {
         CampaignStatus {
             id: self.data.id,
             name: self.name.clone(),
             phase: self.phase,
-            done: self.done(),
-            total: self.slots.len(),
+            done: self.ledger.done(),
+            total: self.ledger.total(),
             executed: self.executed,
             replayed: self.replayed,
             priority: self.priority,
@@ -520,21 +535,18 @@ impl Campaign {
         self.phase == CampaignPhase::Running
             && !self.data.token.is_cancelled()
             && now >= self.next_lease_at
-            && self
-                .slots
-                .iter()
-                .zip(self.leased.iter())
-                .any(|(slot, leased)| slot.is_none() && !leased)
+            && (0..self.leased.len())
+                .any(|index| !self.leased[index] && !self.ledger.is_done(index))
     }
 
     /// The next `lease_size` unfinished, unleased mutant indices.
-    fn take_lease(&mut self, lease_size: usize) -> Vec<usize> {
-        let mut indices = Vec::with_capacity(lease_size);
-        for index in 0..self.slots.len() {
-            if self.slots[index].is_none() && !self.leased[index] {
+    fn take_lease(&mut self) -> Vec<usize> {
+        let mut indices = Vec::with_capacity(self.lease_size);
+        for index in 0..self.leased.len() {
+            if !self.leased[index] && !self.ledger.is_done(index) {
                 self.leased[index] = true;
                 indices.push(index);
-                if indices.len() == lease_size {
+                if indices.len() == self.lease_size {
                     break;
                 }
             }
@@ -552,17 +564,15 @@ impl Campaign {
 /// `catch_unwind`, so no campaign can cost the fleet a slot.
 fn slot_main(slot: usize, rx: mpsc::Receiver<SlotCmd>, tx: mpsc::Sender<Msg>) {
     while let Ok(cmd) = rx.recv() {
-        match cmd {
-            SlotCmd::Prepare { data } => {
-                let (sink, telemetry) = lease_telemetry(&data.config.telemetry);
-                let id = data.id;
+        let msg = match cmd {
+            SlotCmd::Prepare { data, telemetry } => {
                 let baseline = catch_unwind(AssertUnwindSafe(|| {
                     let switch = MutationSwitch::new();
                     let factory = data.shards.build_factory(&switch);
                     let runner = build_runner(&data.config, &telemetry)
                         .with_cancel_token(data.token.child());
                     switch.set_cancel_token(runner.cancel_token().clone());
-                    let baseline = crate::analysis::run_golden(
+                    let baseline = run_golden(
                         &runner,
                         factory.as_ref(),
                         &data.suite,
@@ -575,82 +585,47 @@ fn slot_main(slot: usize, rx: mpsc::Receiver<SlotCmd>, tx: mpsc::Sender<Msg>) {
                 }))
                 .ok()
                 .map(Box::new);
-                let events = sink.map(|s| s.events()).unwrap_or_default();
-                if tx
-                    .send(Msg::Prepared {
-                        slot,
-                        id,
-                        baseline,
-                        events,
-                    })
-                    .is_err()
-                {
-                    return;
+                Msg::Prepared {
+                    slot,
+                    id: data.id,
+                    baseline,
                 }
             }
-            SlotCmd::ThreadLease { rt, indices } => {
-                let (sink, telemetry) = lease_telemetry(&rt.data.config.telemetry);
-                let id = rt.data.id;
-                let outcome = thread_lease(slot, &rt, &indices, &telemetry, &tx);
-                let events = sink.map(|s| s.events()).unwrap_or_default();
-                if tx
-                    .send(Msg::LeaseEnded {
-                        slot,
-                        id,
-                        outcome,
-                        events,
-                    })
-                    .is_err()
-                {
-                    return;
-                }
-            }
+            SlotCmd::ThreadLease {
+                rt,
+                indices,
+                telemetry,
+            } => Msg::LeaseEnded {
+                slot,
+                id: rt.data.id,
+                outcome: thread_lease(slot, &rt, &indices, &telemetry, &tx),
+            },
             SlotCmd::ProcessLease {
                 rt,
                 indices,
                 spec,
                 slot_cfg,
-            } => {
-                let (sink, telemetry) = lease_telemetry(&rt.data.config.telemetry);
-                let id = rt.data.id;
-                let outcome = process_lease(slot, &rt, &indices, &spec, slot_cfg, &telemetry, &tx);
-                let events = sink.map(|s| s.events()).unwrap_or_default();
-                if tx
-                    .send(Msg::LeaseEnded {
-                        slot,
-                        id,
-                        outcome,
-                        events,
-                    })
-                    .is_err()
-                {
-                    return;
-                }
-            }
+                telemetry,
+            } => Msg::LeaseEnded {
+                slot,
+                id: rt.data.id,
+                outcome: process_lease(slot, &rt, &indices, &spec, slot_cfg, &telemetry, &tx),
+            },
             SlotCmd::Shutdown => return,
+        };
+        if tx.send(msg).is_err() {
+            return;
         }
     }
 }
 
-/// A private event buffer for one lease, absorbed under the campaign
-/// root after the lease ends — disabled campaigns pay nothing.
-fn lease_telemetry(campaign: &Telemetry) -> (Option<Arc<MemorySink>>, Telemetry) {
-    if campaign.is_enabled() {
-        let sink = Arc::new(MemorySink::new());
-        let telemetry = Telemetry::new(sink.clone());
-        (Some(sink), telemetry)
-    } else {
-        (None, Telemetry::disabled())
-    }
-}
-
-/// One in-thread lease: build a private factory/switch/runner (the same
-/// trio a pool worker owns), classify each leased mutant, stream verdicts
-/// to the supervisor. The runner's token is a child of the campaign
-/// token, so campaign or service cancellation interrupts the in-flight
-/// case like a watchdog deadline — and a verdict finished *after* the
-/// cancellation is discarded, never merged, because a case interrupted
-/// mid-flight classifies differently than a solo run would.
+/// One in-thread lease: build a private factory/switch/runner, classify
+/// each leased mutant, stream verdicts to the supervisor. The runner's
+/// token is a child of the campaign token, so campaign or service
+/// cancellation interrupts the in-flight case like a watchdog deadline —
+/// and a verdict finished *after* the cancellation is discarded, never
+/// merged, because a case interrupted mid-flight classifies differently
+/// than a solo run would.
 fn thread_lease(
     slot: usize,
     rt: &Arc<CampaignRuntime>,
@@ -678,13 +653,7 @@ fn thread_lease(
             emitted: 0,
         };
     };
-    let engine = Engine::new(
-        &data.suite,
-        &data.mutants,
-        &data.config,
-        &rt.baseline,
-        vec![false; data.mutants.len()],
-    );
+    let engine = Engine::new(&data.suite, &data.config, &rt.baseline);
     let mut emitted = 0u64;
     for &index in indices {
         if token.is_cancelled() {
@@ -693,48 +662,32 @@ fn thread_lease(
         let Some(mutant) = data.mutants.get(index) else {
             continue;
         };
-        let verdict = catch_unwind(AssertUnwindSafe(|| {
-            engine.classify(factory.as_ref(), &switch, &runner, &scoped, mutant)
-        }));
-        match verdict {
-            Ok(status) => {
-                if token.is_cancelled() {
-                    // The cancellation raced the classification: the
-                    // verdict may reflect an interrupted case. Discard it
-                    // — the mutant stays unfinished and re-executes on
-                    // resume, keeping the journal byte-identical to a
-                    // solo run's prefix.
-                    return LeaseOutcome::Aborted;
-                }
-                let _ = tx.send(Msg::Verdict {
-                    slot,
-                    id: data.id,
-                    index,
-                    status,
-                });
-                emitted += 1;
-            }
-            Err(_panic) => {
-                // Same contract as the pool worker's drain: the panicking
-                // mutant is quarantined as WorkerCrash (its verdict in a
-                // solo run too), and the lease retires so the supervisor
-                // can decide what the crash cost.
-                scoped.incr("mutation.worker_crash");
-                let _ = tx.send(Msg::Verdict {
-                    slot,
-                    id: data.id,
-                    index,
-                    status: MutantStatus::Quarantined {
-                        reason: QuarantineReason::WorkerCrash,
-                    },
-                });
-                return LeaseOutcome::Crashed {
-                    in_flight: None,
-                    reason: QuarantineReason::WorkerCrash,
-                    poisoned: false,
-                    emitted: emitted + 1,
-                };
-            }
+        let (status, crashed) = engine.execute(factory.as_ref(), &switch, &runner, &scoped, mutant);
+        if token.is_cancelled() && !crashed {
+            // The cancellation raced the classification: the verdict may
+            // reflect an interrupted case. Discard it — the mutant stays
+            // unfinished and re-executes on resume, keeping the journal
+            // byte-identical to a solo run's prefix.
+            return LeaseOutcome::Aborted;
+        }
+        let _ = tx.send(Msg::Verdict {
+            slot,
+            id: data.id,
+            index,
+            status,
+        });
+        emitted += 1;
+        if crashed {
+            // The panicking mutant is quarantined as WorkerCrash (its
+            // verdict in a solo run too), and the lease retires its
+            // suspect harness so the supervisor can decide what the
+            // crash cost.
+            return LeaseOutcome::Crashed {
+                in_flight: None,
+                reason: QuarantineReason::WorkerCrash,
+                poisoned: false,
+                emitted,
+            };
         }
     }
     switch.disarm();
@@ -749,10 +702,10 @@ enum PipeEvent {
 }
 
 /// One process-isolated lease: spawn a shard worker (a self-exec of the
-/// current binary, exactly like [`crate::run_shard_worker`]'s supervisor
-/// half), hand it the leased indices, and relay its verdict frames.
-/// Liveness runs under the *campaign's* [`SlotConfig`] deadlines, so a
-/// slow-starting subject is judged by its own grace, not its neighbors'.
+/// current binary that lands in [`crate::run_shard_worker`]), hand it the
+/// leased indices, and relay its verdict frames. Liveness runs under the
+/// *campaign's* [`SlotConfig`] deadlines, so a slow-starting subject is
+/// judged by its own grace, not its neighbors'.
 fn process_lease(
     slot: usize,
     rt: &Arc<CampaignRuntime>,
@@ -909,6 +862,14 @@ fn process_lease(
 /// [`DegradeReason::HarnessFailure`].
 const FUTILE_LEASES: u32 = 3;
 
+/// Campaign heartbeat cadence: the supervisor emits a snapshot when at
+/// least this long has passed since the previous one.
+const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(200);
+
+/// How long the supervisor blocks on its message channel before waking
+/// to schedule and consider a heartbeat.
+const SUPERVISOR_POLL: Duration = Duration::from_millis(100);
+
 struct Supervisor {
     config: OrchestratorConfig,
     service_token: CancelToken,
@@ -950,31 +911,21 @@ impl Supervisor {
     fn handle(&mut self, msg: Msg) {
         match msg {
             Msg::Cmd(cmd) => self.handle_cmd(cmd),
-            Msg::Prepared {
-                slot,
-                id,
-                baseline,
-                events,
-            } => self.handle_prepared(slot, id, baseline, events),
+            Msg::Prepared { slot, id, baseline } => self.handle_prepared(slot, id, baseline),
             Msg::Verdict {
                 slot,
                 id,
                 index,
                 status,
             } => self.handle_verdict(slot, id, index, status),
-            Msg::LeaseEnded {
-                slot,
-                id,
-                outcome,
-                events,
-            } => self.handle_lease_ended(slot, id, outcome, events),
+            Msg::LeaseEnded { slot, id, outcome } => self.handle_lease_ended(slot, id, outcome),
         }
     }
 
     fn handle_cmd(&mut self, cmd: Command) {
         match cmd {
-            Command::Submit(request, reply) => {
-                let _ = reply.send(self.admit(*request));
+            Command::Submit(request, handback, reply) => {
+                let _ = reply.send(self.admit(*request, handback));
             }
             Command::Cancel(id, reply) => {
                 let _ = reply.send(self.cancel(id));
@@ -1022,7 +973,11 @@ impl Supervisor {
         }
     }
 
-    fn admit(&mut self, request: CampaignRequest) -> Result<CampaignId, SubmitError> {
+    fn admit(
+        &mut self,
+        request: CampaignRequest,
+        handback: Option<mpsc::Sender<Handback>>,
+    ) -> Result<CampaignId, SubmitError> {
         if self.shutting_down {
             return Err(SubmitError::ServiceStopped);
         }
@@ -1039,10 +994,10 @@ impl Supervisor {
         }
         let id = CampaignId(self.next_id);
         self.next_id += 1;
-        let slot_cfg = SlotConfig::effective(request.slot, &request.config);
+        let slot_cfg = SlotConfig::effective(&request.config);
         let spec = match &request.config.isolation {
-            crate::analysis::IsolationMode::Process(spec) => Some(spec.clone()),
-            crate::analysis::IsolationMode::InThread => None,
+            IsolationMode::Process(spec) => Some(spec.clone()),
+            IsolationMode::InThread => None,
         };
         let backoff_seed = spec.as_ref().map(|s| s.backoff_seed).unwrap_or(0) ^ id.0;
         let total = request.mutants.len();
@@ -1057,6 +1012,7 @@ impl Supervisor {
             config: request.config,
             token: self.service_token.child(),
         });
+        let slots = self.slot_tx.len();
         let campaign = Campaign {
             data,
             name: request.name,
@@ -1066,14 +1022,9 @@ impl Supervisor {
             spec,
             phase: CampaignPhase::Queued,
             rt: None,
-            journal: None,
-            slots: {
-                let mut v = Vec::new();
-                v.resize_with(total, || None);
-                v
-            },
+            ledger: Ledger::new(total, slots, scoped),
             leased: vec![false; total],
-            deaths: HashMap::new(),
+            lease_size: 1,
             executed: 0,
             replayed: 0,
             crashes: 0,
@@ -1088,8 +1039,8 @@ impl Supervisor {
             outcome: None,
             waiters: Vec::new(),
             root: Some(root),
-            telemetry: scoped,
-            done_by_slot: vec![0; self.config.slots],
+            workers: (0..slots).map(|_| None).collect(),
+            handback,
             last_beat: Instant::now(),
         };
         self.campaigns.insert(id, campaign);
@@ -1122,14 +1073,12 @@ impl Supervisor {
         slot: usize,
         id: CampaignId,
         baseline: Option<Box<GoldenBaseline>>,
-        events: Vec<Event>,
     ) {
         self.slot_lease[slot] = None;
         let Some(campaign) = self.campaigns.get_mut(&id) else {
             return;
         };
         campaign.active_leases -= 1;
-        absorb_lease(campaign, &events);
         if campaign.phase == CampaignPhase::Draining || campaign.data.token.is_cancelled() {
             if campaign.pending_end.is_none() {
                 campaign.pending_end = Some(CampaignPhase::Cancelled);
@@ -1142,34 +1091,38 @@ impl Supervisor {
         let Some(baseline) = baseline else {
             // The golden run panicked: the subject's harness is broken
             // and every lease would fail the same way.
-            campaign.telemetry.incr("mutation.worker_crash");
+            campaign.ledger.telemetry().incr("mutation.worker_crash");
             campaign.pending_end = Some(CampaignPhase::Degraded(DegradeReason::HarnessFailure));
             self.finalize(id);
             return;
         };
         let data = campaign.data.clone();
-        let scoped = campaign.telemetry.clone();
-        let (journal, replayed) = JournalState::open(
-            data.shards.class_name(),
-            &data.suite,
-            &data.mutants,
+        let class_name = data.shards.class_name();
+        campaign
+            .ledger
+            .open_journal(class_name, &data.suite, &data.mutants, &data.config);
+        persist_coverage(
             &data.config,
-            &scoped,
+            &baseline,
+            campaign.ledger.fingerprint(),
+            campaign.ledger.telemetry(),
         );
-        persist_coverage(&data.config, &baseline, journal.fingerprint(), &scoped);
-        let fingerprint = campaign_fingerprint(
-            data.shards.class_name(),
-            &data.suite,
-            &data.mutants,
-            &data.config,
-        );
-        let (slots, _done) = replay_slots(&data.mutants, replayed, &scoped);
-        campaign.replayed = slots.iter().filter(|s| s.is_some()).count() as u64;
+        let fingerprint =
+            campaign_fingerprint(class_name, &data.suite, &data.mutants, &data.config);
+        campaign.replayed = campaign.ledger.done() as u64;
         if campaign.replayed > 0 {
             self.config.telemetry.incr("orchestrator.resumed");
         }
-        campaign.slots = slots;
-        campaign.journal = Some(journal);
+        // A process lease pays a shard spawn and a shard golden run, so
+        // by default each slot gets one lease covering its share of the
+        // work left; a thread lease is cheap, so by default leases are
+        // single mutants and slow ones never hold up the rest.
+        let slots = self.slot_tx.len();
+        campaign.lease_size = match (self.config.lease_size, &campaign.spec) {
+            (0, Some(_)) => campaign.ledger.unfinished().div_ceil(slots).max(1),
+            (0, None) => 1,
+            (size, _) => size,
+        };
         campaign.rt = Some(Arc::new(CampaignRuntime {
             data,
             baseline: *baseline,
@@ -1177,9 +1130,10 @@ impl Supervisor {
         }));
         campaign.phase = CampaignPhase::Running;
         campaign
-            .telemetry
+            .ledger
+            .telemetry()
             .gauge("mutation.workers", self.config.slots as i64);
-        if campaign.unfinished() == 0 {
+        if campaign.ledger.unfinished() == 0 {
             campaign.pending_end = Some(CampaignPhase::Completed);
             self.finalize(id);
             return;
@@ -1198,25 +1152,13 @@ impl Supervisor {
         if campaign.phase != CampaignPhase::Running || campaign.data.token.is_cancelled() {
             return;
         }
-        if index >= campaign.slots.len() || campaign.slots[index].is_some() {
+        if !campaign.ledger.merge(index, status, Some(slot)) {
             return;
         }
-        if let Some(journal) = &mut campaign.journal {
-            journal.record(index, &status);
-        }
-        record_status(&campaign.telemetry, &status);
-        campaign.slots[index] = Some(MutantResult {
-            mutant: campaign.data.mutants[index].clone(),
-            status,
-        });
-        if let Some(counter) = campaign.done_by_slot.get_mut(slot) {
-            *counter += 1;
-        }
         campaign.executed += 1;
-        if campaign.unfinished() == 0 {
-            // Completion is finalized when the owning lease ends (its
-            // remaining events still need grafting), but the phase no
-            // longer accepts verdicts-after-complete.
+        if campaign.ledger.unfinished() == 0 {
+            // Completion is finalized when the owning lease ends, but the
+            // phase no longer accepts verdicts-after-complete.
             return;
         }
         self.check_budget(id);
@@ -1233,20 +1175,23 @@ impl Supervisor {
         };
         if campaign.phase != CampaignPhase::Running
             || campaign.executed < budget
-            || campaign.unfinished() == 0
+            || campaign.ledger.unfinished() == 0
         {
             return;
         }
         campaign.data.token.cancel();
         campaign.pending_end = Some(CampaignPhase::Degraded(DegradeReason::BudgetExhausted));
         let executed = campaign.executed;
-        let queued = campaign.unfinished();
-        campaign.telemetry.snapshot("campaign.degraded", || {
-            vec![
-                ("executed".to_owned(), executed as i64),
-                ("queued".to_owned(), queued as i64),
-            ]
-        });
+        let queued = campaign.ledger.unfinished();
+        campaign
+            .ledger
+            .telemetry()
+            .snapshot("campaign.degraded", || {
+                vec![
+                    ("executed".to_owned(), executed as i64),
+                    ("queued".to_owned(), queued as i64),
+                ]
+            });
         if campaign.active_leases == 0 {
             self.finalize(id);
         } else {
@@ -1254,24 +1199,17 @@ impl Supervisor {
         }
     }
 
-    fn handle_lease_ended(
-        &mut self,
-        slot: usize,
-        id: CampaignId,
-        outcome: LeaseOutcome,
-        events: Vec<Event>,
-    ) {
+    fn handle_lease_ended(&mut self, slot: usize, id: CampaignId, outcome: LeaseOutcome) {
         let lease = self.slot_lease[slot].take();
         let Some(campaign) = self.campaigns.get_mut(&id) else {
             return;
         };
         campaign.active_leases -= 1;
-        absorb_lease(campaign, &events);
         // Return unmerged leased indices to the pool.
         if let Some((lease_id, indices)) = lease {
             if lease_id == id {
                 for index in indices {
-                    if campaign.slots[index].is_none() {
+                    if !campaign.ledger.is_done(index) {
                         campaign.leased[index] = false;
                     }
                 }
@@ -1286,97 +1224,16 @@ impl Supervisor {
                     reason,
                     poisoned,
                     emitted,
-                } => self.handle_crash(id, slot, in_flight, reason, poisoned, emitted),
+                } => handle_crash(campaign, slot, in_flight, reason, poisoned, emitted),
             }
         }
-        let Some(campaign) = self.campaigns.get_mut(&id) else {
-            return;
-        };
-        if campaign.phase == CampaignPhase::Running && campaign.unfinished() == 0 {
+        if campaign.phase == CampaignPhase::Running && campaign.ledger.unfinished() == 0 {
             campaign.pending_end = Some(CampaignPhase::Completed);
         }
         if campaign.pending_end.is_some() && campaign.active_leases == 0 {
             self.finalize(id);
         } else if campaign.pending_end.is_some() {
             campaign.phase = CampaignPhase::Draining;
-        }
-    }
-
-    /// The death ladder, shared with the solo process supervisor: a first
-    /// death returns the in-flight mutant to the queue (an innocent
-    /// mutant killed from outside must re-execute for byte-identical
-    /// reports); a second death convicts it with the reason derived from
-    /// how the shard died. Leases that die repeatedly with no progress at
-    /// all degrade the campaign instead of spinning forever.
-    fn handle_crash(
-        &mut self,
-        id: CampaignId,
-        slot: usize,
-        in_flight: Option<usize>,
-        reason: QuarantineReason,
-        poisoned: bool,
-        emitted: u64,
-    ) {
-        let Some(campaign) = self.campaigns.get_mut(&id) else {
-            return;
-        };
-        campaign.crashes += 1;
-        if poisoned {
-            campaign.data.token.cancel();
-            campaign.pending_end = Some(CampaignPhase::Degraded(DegradeReason::HarnessFailure));
-            return;
-        }
-        let mut progress = emitted > 0;
-        if let Some(index) = in_flight {
-            if index < campaign.slots.len() && campaign.slots[index].is_none() {
-                let deaths = campaign.deaths.entry(index).or_insert(0);
-                *deaths += 1;
-                if *deaths >= 2 {
-                    let status = MutantStatus::Quarantined { reason };
-                    if let Some(journal) = &mut campaign.journal {
-                        journal.record(index, &status);
-                    }
-                    record_status(&campaign.telemetry, &status);
-                    campaign.slots[index] = Some(MutantResult {
-                        mutant: campaign.data.mutants[index].clone(),
-                        status,
-                    });
-                    if let Some(counter) = campaign.done_by_slot.get_mut(slot) {
-                        *counter += 1;
-                    }
-                }
-                progress = true;
-            }
-        }
-        if progress {
-            campaign.futile = 0;
-        } else {
-            campaign.futile += 1;
-            if campaign.futile >= FUTILE_LEASES {
-                campaign.data.token.cancel();
-                campaign.pending_end = Some(CampaignPhase::Degraded(DegradeReason::HarnessFailure));
-                return;
-            }
-        }
-        // Process campaigns back off before their next lease, on the
-        // same jittered envelope the solo supervisor respawns under.
-        if let Some(spec) = campaign.spec.clone() {
-            campaign.respawns += 1;
-            campaign.telemetry.incr("mutation.shard_respawn");
-            let delay = spec
-                .respawn_backoff
-                .jittered_delay(campaign.respawns, &mut campaign.backoff_rng);
-            campaign.next_lease_at = Instant::now() + delay;
-        }
-        if campaign.crashes > campaign.data.config.worker_restarts as u64
-            && !campaign.exhaustion_flagged
-        {
-            campaign.exhaustion_flagged = true;
-            flag_restart_exhaustion(
-                &campaign.telemetry,
-                campaign.data.config.worker_restarts,
-                campaign.unfinished(),
-            );
         }
     }
 
@@ -1391,7 +1248,8 @@ impl Supervisor {
             .take()
             .unwrap_or(CampaignPhase::Cancelled);
         campaign.phase = end_phase;
-        campaign_heartbeat(&campaign.telemetry, &campaign.slots, &campaign.done_by_slot);
+        campaign.ledger.heartbeat();
+        campaign.workers.clear();
         let golden = campaign
             .rt
             .as_ref()
@@ -1401,15 +1259,15 @@ impl Supervisor {
                 cases: Vec::new(),
                 notes: Vec::new(),
             });
+        let mutants = &campaign.data.mutants;
         let end = match end_phase {
             CampaignPhase::Completed => {
                 self.config.telemetry.incr("orchestrator.completed");
-                let results = collect_slots(&campaign.data.mutants, campaign.slots.clone());
-                CampaignEnd::Completed(Box::new(finish_run(&campaign.telemetry, results, golden)))
+                CampaignEnd::Completed(Box::new(campaign.ledger.finish(mutants, golden)))
             }
             CampaignPhase::Degraded(reason) => {
                 self.config.telemetry.incr("orchestrator.degraded");
-                let results = collect_slots(&campaign.data.mutants, campaign.slots.clone());
+                let results = campaign.ledger.results(mutants);
                 CampaignEnd::Degraded {
                     reason,
                     partial: Box::new(MutationRun { results, golden }),
@@ -1417,6 +1275,18 @@ impl Supervisor {
             }
             _ => CampaignEnd::Cancelled,
         };
+        // A degraded solo campaign is finished inline by its caller: hand
+        // the ledger, baseline and open campaign span back before any
+        // waiter wakes.
+        if let (CampaignEnd::Degraded { .. }, Some(handback)) = (&end, campaign.handback.take()) {
+            let total = campaign.ledger.total();
+            let telemetry = campaign.ledger.telemetry().clone();
+            let _ = handback.send(Handback {
+                ledger: std::mem::replace(&mut campaign.ledger, Ledger::new(total, 0, telemetry)),
+                runtime: campaign.rt.clone(),
+                root: campaign.root.take(),
+            });
+        }
         let outcome = CampaignOutcome {
             id,
             name: campaign.name.clone(),
@@ -1426,10 +1296,10 @@ impl Supervisor {
             let _ = waiter.send(Some(outcome.clone()));
         }
         campaign.outcome = Some(outcome);
-        // Release the heavyweight state; the journal (dropped here) was
-        // fsynced per append, so the campaign is already checkpointed.
+        // Release the heavyweight state; the journal was fsynced per
+        // append, so the campaign is already checkpointed.
         campaign.rt = None;
-        campaign.journal = None;
+        campaign.ledger.close_journal();
         if let Some(root) = campaign.root.take() {
             root.finish();
         }
@@ -1458,8 +1328,10 @@ impl Supervisor {
                     campaign.phase = CampaignPhase::Preparing;
                     campaign.active_leases += 1;
                     self.slot_lease[slot] = Some((id, Vec::new()));
-                    let data = campaign.data.clone();
-                    let _ = self.slot_tx[slot].send(SlotCmd::Prepare { data });
+                    let _ = self.slot_tx[slot].send(SlotCmd::Prepare {
+                        data: campaign.data.clone(),
+                        telemetry: campaign.ledger.telemetry().clone(),
+                    });
                 }
                 continue;
             }
@@ -1487,29 +1359,40 @@ impl Supervisor {
                     campaign.starved = campaign.starved.saturating_add(1);
                 }
             }
-            let lease_size = self.config.lease_size.max(1);
             let Some(campaign) = self.campaigns.get_mut(&id) else {
                 continue;
             };
             campaign.starved = 0;
-            let indices = campaign.take_lease(lease_size);
+            let Some(rt) = campaign.rt.clone() else {
+                continue;
+            };
+            let indices = campaign.take_lease();
             if indices.is_empty() {
                 continue;
             }
             campaign.active_leases += 1;
             self.slot_lease[slot] = Some((id, indices.clone()));
             self.config.telemetry.incr("orchestrator.leases");
-            let Some(rt) = campaign.rt.clone() else {
-                continue;
-            };
+            let ledger = &campaign.ledger;
+            let worker = campaign.workers[slot].get_or_insert_with(|| {
+                ledger
+                    .telemetry()
+                    .span_with("worker", || format!("w{slot}"))
+            });
+            let telemetry = ledger.telemetry().at(worker.id());
             let cmd = match campaign.spec.clone() {
                 Some(spec) => SlotCmd::ProcessLease {
                     rt,
                     indices,
                     spec,
                     slot_cfg: campaign.slot_cfg,
+                    telemetry,
                 },
-                None => SlotCmd::ThreadLease { rt, indices },
+                None => SlotCmd::ThreadLease {
+                    rt,
+                    indices,
+                    telemetry,
+                },
             };
             let _ = self.slot_tx[slot].send(cmd);
         }
@@ -1519,11 +1402,11 @@ impl Supervisor {
         let now = Instant::now();
         for campaign in self.campaigns.values_mut() {
             if campaign.phase == CampaignPhase::Running
-                && campaign.telemetry.is_enabled()
+                && campaign.ledger.telemetry().is_enabled()
                 && now.duration_since(campaign.last_beat) >= HEARTBEAT_INTERVAL
             {
                 campaign.last_beat = now;
-                campaign_heartbeat(&campaign.telemetry, &campaign.slots, &campaign.done_by_slot);
+                campaign.ledger.heartbeat();
             }
         }
         if self.config.telemetry.is_enabled()
@@ -1580,17 +1463,62 @@ impl Supervisor {
     }
 }
 
-/// Grafts one lease's private event stream under the campaign root span.
-fn absorb_lease(campaign: &Campaign, events: &[Event]) {
-    if events.is_empty() {
+/// The death ladder's campaign side: a lease crash charges its in-flight
+/// mutant through [`Ledger::blame`] (retried once, convicted on the
+/// second death). Leases that die repeatedly with no progress at all
+/// degrade the campaign instead of spinning forever, and a poisoned
+/// shard (wrong campaign fingerprint) degrades it at once.
+fn handle_crash(
+    campaign: &mut Campaign,
+    slot: usize,
+    in_flight: Option<usize>,
+    reason: QuarantineReason,
+    poisoned: bool,
+    emitted: u64,
+) {
+    campaign.crashes += 1;
+    if poisoned {
+        campaign.data.token.cancel();
+        campaign.pending_end = Some(CampaignPhase::Degraded(DegradeReason::HarnessFailure));
         return;
     }
-    if let Some(root) = &campaign.root {
-        campaign
-            .data
-            .config
-            .telemetry
-            .absorb_under(events, root.id());
+    let charged = in_flight.is_some_and(|index| campaign.ledger.blame(index, reason, slot));
+    if emitted > 0 || charged {
+        campaign.futile = 0;
+    } else {
+        campaign.futile += 1;
+        if campaign.futile >= FUTILE_LEASES {
+            campaign.data.token.cancel();
+            campaign.pending_end = Some(CampaignPhase::Degraded(DegradeReason::HarnessFailure));
+            return;
+        }
+    }
+    // Process campaigns back off before their next lease, on a jittered
+    // envelope.
+    if let Some(spec) = &campaign.spec {
+        campaign.respawns += 1;
+        campaign.ledger.telemetry().incr("mutation.shard_respawn");
+        let delay = spec
+            .respawn_backoff
+            .jittered_delay(campaign.respawns, &mut campaign.backoff_rng);
+        campaign.next_lease_at = Instant::now() + delay;
+    }
+    let budget = campaign.data.config.worker_restarts;
+    if campaign.crashes > budget as u64 && !campaign.exhaustion_flagged {
+        // Past the restart budget the campaign keeps leasing — it still
+        // ends, by conviction or futility — but the harness-health table
+        // gets a `mutation.restarts_exhausted` row and the flight
+        // recorder a `campaign.degraded` event with the work left.
+        campaign.exhaustion_flagged = true;
+        let queued = campaign.ledger.unfinished();
+        let telemetry = campaign.ledger.telemetry();
+        telemetry.incr("mutation.restarts_exhausted");
+        telemetry.snapshot("campaign.degraded", || {
+            vec![
+                ("restarts_spent".to_owned(), budget as i64),
+                ("queued".to_owned(), queued as i64),
+            ]
+        });
     }
 }
 
@@ -1666,10 +1594,22 @@ impl Orchestrator {
     /// [`SubmitError::QueueFull`] past the admission bound,
     /// [`SubmitError::ServiceStopped`] after shutdown.
     pub fn submit(&self, request: CampaignRequest) -> Result<CampaignId, SubmitError> {
+        self.submit_with(request, None)
+    }
+
+    fn submit_with(
+        &self,
+        request: CampaignRequest,
+        handback: Option<mpsc::Sender<Handback>>,
+    ) -> Result<CampaignId, SubmitError> {
         let (reply_tx, reply_rx) = mpsc::channel();
         if self
             .tx
-            .send(Msg::Cmd(Command::Submit(Box::new(request), reply_tx)))
+            .send(Msg::Cmd(Command::Submit(
+                Box::new(request),
+                handback,
+                reply_tx,
+            )))
             .is_err()
         {
             return Err(SubmitError::ServiceStopped);
@@ -1763,10 +1703,146 @@ impl Drop for Orchestrator {
     }
 }
 
+/// Runs a full mutation analysis on an ephemeral fleet of
+/// `config.workers` slots (clamped to `1..=mutants.len()`).
+///
+/// Every lease owns its own component factory (built through the
+/// [`ClonableFactory`] seam), [`MutationSwitch`], runner and — when the
+/// budget carries a deadline — watchdog thread and cancel token, so a
+/// hanging mutant stalls only the slot that leased it. Verdicts merge
+/// back in enumeration order, which makes the output **byte-identical
+/// for every worker count and lease kind**: same verdict vector, same
+/// score, same report tables. [`MutationConfig::isolation`] picks thread
+/// or process leases; process leases are sized so each slot spawns one
+/// shard (see [`OrchestratorConfig::lease_size`]).
+///
+/// The golden run is computed once, up front, and shared immutably.
+/// Telemetry goes straight into `config.telemetry`: a `mutation` span over
+/// the whole campaign (its wall time), the fleet's `campaign` span under
+/// it, and one `worker` span per slot (`w0`, `w1`, …) with that slot's
+/// leases and mutants beneath it; a `mutation.workers` gauge records the
+/// slot count.
+///
+/// # Supervision and durability
+///
+/// Each verdict is journaled (when `config.journal_path` is set) before
+/// it is merged. A crash costs at most its in-flight mutant: a panicking
+/// classification is quarantined as [`QuarantineReason::WorkerCrash`],
+/// and a shard killed mid-mutant retries that mutant once and
+/// quarantines it on a second death. Should the fleet give up on the
+/// campaign (a broken harness, a shard that rebuilds a different
+/// campaign, or leases that keep dying without progress), the calling
+/// thread finishes the unfinished mutants inline — a mutant already
+/// blamed for a shard death is quarantined with its recorded reason
+/// rather than run in-process — so partial results are never returned.
+/// On restart with the same journal path, verified verdicts are replayed
+/// and only unfinished mutants re-execute; the merged output stays
+/// byte-identical to an uninterrupted run.
+pub fn run_mutation_analysis_parallel(
+    shards: Arc<dyn ClonableFactory>,
+    suite: &TestSuite,
+    mutants: &[Mutant],
+    config: &MutationConfig,
+) -> MutationRun {
+    let _hook_guard = config.silence_panics.then(PanicSilencer::install);
+    let run_span = config.telemetry.span("mutation", shards.class_name());
+    let telemetry = config.telemetry.at(run_span.id());
+    let service = Orchestrator::start(OrchestratorConfig {
+        slots: config.workers.clamp(1, mutants.len().max(1)),
+        capacity: 1,
+        lease_size: 0,
+        telemetry: Telemetry::disabled(),
+        silence_panics: false,
+    });
+    let request = CampaignRequest {
+        name: shards.class_name().to_owned(),
+        shards: shards.clone(),
+        suite: suite.clone(),
+        mutants: mutants.to_vec(),
+        config: MutationConfig {
+            telemetry: telemetry.clone(),
+            ..config.clone()
+        },
+        priority: 0,
+        mutant_budget: None,
+    };
+    let (handback_tx, handback_rx) = mpsc::channel();
+    let end = service
+        .submit_with(request, Some(handback_tx))
+        .ok()
+        .and_then(|id| service.wait(id))
+        .map(|outcome| outcome.end);
+    service.shutdown();
+    if let Some(CampaignEnd::Completed(run)) = end {
+        return *run;
+    }
+    let handback = handback_rx.recv().unwrap_or_else(|_| Handback {
+        ledger: Ledger::new(mutants.len(), 0, telemetry),
+        runtime: None,
+        root: None,
+    });
+    finish_inline(shards.as_ref(), suite, mutants, config, handback)
+}
+
+/// Finishes a degraded solo campaign on the inline slot: blamed mutants
+/// are convicted with their recorded reasons, the rest run on the calling
+/// thread against the fleet's golden baseline (or a fresh one, if the
+/// fleet never prepared it).
+fn finish_inline(
+    shards: &dyn ClonableFactory,
+    suite: &TestSuite,
+    mutants: &[Mutant],
+    config: &MutationConfig,
+    handback: Handback,
+) -> MutationRun {
+    let Handback {
+        mut ledger,
+        runtime,
+        root,
+    } = handback;
+    if !ledger.is_open() {
+        ledger.open_journal(shards.class_name(), suite, mutants, config);
+    }
+    ledger.convict_blamed();
+    let telemetry = ledger.telemetry().clone();
+    let switch = MutationSwitch::new();
+    let factory = shards.build_factory(&switch);
+    let runner = build_runner(config, &telemetry);
+    switch.set_cancel_token(runner.cancel_token().clone());
+    let fresh;
+    let baseline = match &runtime {
+        Some(rt) => &rt.baseline,
+        None => {
+            fresh = run_golden(
+                &runner,
+                factory.as_ref(),
+                suite,
+                mutants,
+                config,
+                &telemetry,
+            );
+            persist_coverage(config, &fresh, ledger.fingerprint(), &telemetry);
+            &fresh
+        }
+    };
+    let engine = Engine::new(suite, config, baseline);
+    run_inline(
+        &engine,
+        factory.as_ref(),
+        &switch,
+        &runner,
+        mutants,
+        &mut ledger,
+    );
+    switch.clear_cancel_token();
+    let run = ledger.finish(mutants, baseline.golden.clone());
+    drop(root);
+    run
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::IsolationMode;
 
     #[test]
     fn slot_config_defaults_match_process_isolation_defaults() {
@@ -1787,17 +1863,10 @@ mod tests {
             isolation: IsolationMode::Process(spec),
             ..MutationConfig::default()
         };
-        let effective = SlotConfig::effective(None, &config);
+        let effective = SlotConfig::effective(&config);
         assert_eq!(effective.startup_grace, Duration::from_secs(120));
         assert_eq!(effective.heartbeat_timeout, Duration::from_secs(60));
         assert_eq!(effective.term_grace, Duration::from_millis(50));
-        // An explicit override always wins.
-        let explicit = SlotConfig {
-            startup_grace: Duration::from_secs(1),
-            ..SlotConfig::default()
-        };
-        let overridden = SlotConfig::effective(Some(explicit), &config);
-        assert_eq!(overridden.startup_grace, Duration::from_secs(1));
     }
 
     #[test]

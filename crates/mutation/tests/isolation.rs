@@ -198,7 +198,12 @@ fn calc_isolation() -> ProcessIsolation {
 }
 
 fn run_calc(config: MutationConfig) -> MutationRun {
-    run_mutation_analysis_parallel(&CalcShards, &calc_suite(), &calc_mutants(), &config)
+    run_mutation_analysis_parallel(
+        Arc::new(CalcShards),
+        &calc_suite(),
+        &calc_mutants(),
+        &config,
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -426,7 +431,7 @@ fn process_shards_contain_abort_and_unresponsive_mutants() {
     let mut baseline: Option<MutationRun> = None;
     for shards in [1usize, 4] {
         let run = run_mutation_analysis_parallel(
-            &VolatileShards,
+            Arc::new(VolatileShards),
             &volatile_suite(),
             &volatile_mutants(),
             &MutationConfig {
@@ -568,7 +573,8 @@ fn journaled_process_campaign_replays_on_rerun() {
         isolation: IsolationMode::Process(calc_isolation()),
         ..calc_config()
     };
-    let first = run_calc(config(Telemetry::disabled()));
+    let cold_sink = Arc::new(MemorySink::new());
+    let first = run_calc(config(Telemetry::new(cold_sink.clone())));
     let sink = Arc::new(MemorySink::new());
     let again = run_calc(config(Telemetry::new(sink.clone())));
     assert_eq!(again.results, first.results);
@@ -577,6 +583,17 @@ fn journaled_process_campaign_replays_on_rerun() {
         summary.counters.get("mutation.replayed").copied(),
         Some(first.total() as u64),
         "the rerun replays every verdict from the journal"
+    );
+    let cold_workers = cold_sink.summary().gauge("mutation.workers");
+    assert_eq!(
+        cold_workers,
+        Some(2),
+        "the cold run reports its two workers"
+    );
+    assert_eq!(
+        summary.gauge("mutation.workers"),
+        cold_workers,
+        "the replayed rerun reports the cold run's worker count"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -217,7 +217,7 @@ fn chaos_isolation() -> ProcessIsolation {
 /// byte-for-byte.
 fn solo_run(variant: i64, millis: u64) -> MutationRun {
     run_mutation_analysis_parallel(
-        &ChaosShards { millis },
+        Arc::new(ChaosShards { millis }),
         &chaos_suite(variant),
         &chaos_mutants(),
         &MutationConfig {
@@ -237,7 +237,6 @@ fn chaos_request(name: &str, variant: i64, millis: u64) -> CampaignRequest {
         config: chaos_config(),
         priority: 0,
         mutant_budget: None,
-        slot: None,
     }
 }
 
