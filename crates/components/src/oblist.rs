@@ -32,6 +32,31 @@ fn bad_link(method: &str, e: BadLink) -> TestException {
     TestException::domain(method, e.to_string())
 }
 
+/// The `CObList` attributes a `Var` replacement can name, copied where an
+/// instrumented method's variables are in scope.
+///
+/// Instrumented methods capture a copy in the scope closure they pass to
+/// [`MutationSwitch`] reads, so [`Attributes::env`] runs only when a `Var`
+/// replacement fires, and sees the attributes as they were at the copy.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Attributes {
+    count: i64,
+    head: i64,
+    tail: i64,
+    block_size: i64,
+}
+
+impl Attributes {
+    /// The attributes as a [`VarEnv`], for method locals to extend.
+    pub(crate) fn env(self) -> VarEnv {
+        VarEnv::new()
+            .bind("m_nCount", self.count)
+            .bind("m_pNodeHead", self.head)
+            .bind("m_pNodeTail", self.tail)
+            .bind("m_nBlockSize", self.block_size)
+    }
+}
+
 /// The `CObList` component: MFC-style doubly linked list of [`Value`]s.
 #[derive(Debug)]
 pub struct CObList {
@@ -75,17 +100,14 @@ impl CObList {
         }
     }
 
-    /// `m_nBlockSize`, for subclass instrumentation envs.
-    pub fn block_size(&self) -> i64 {
-        self.block_size
-    }
-
-    fn globals_env(&self) -> VarEnv {
-        VarEnv::new()
-            .bind("m_nCount", self.count)
-            .bind("m_pNodeHead", self.head)
-            .bind("m_pNodeTail", self.tail)
-            .bind("m_nBlockSize", self.block_size)
+    /// A copy of the class attributes, for instrumentation scopes.
+    pub(crate) fn attributes(&self) -> Attributes {
+        Attributes {
+            count: self.count,
+            head: self.head,
+            tail: self.tail,
+            block_size: self.block_size,
+        }
     }
 
     /// `m_nCount` as seen by subclasses and reporters.
@@ -96,16 +118,6 @@ impl CObList {
     /// True when the list is empty.
     pub fn is_empty_list(&self) -> bool {
         self.count == 0
-    }
-
-    /// Head link (`m_pNodeHead`), for subclass instrumentation envs.
-    pub fn head_link(&self) -> i64 {
-        self.head
-    }
-
-    /// Tail link (`m_pNodeTail`), for subclass instrumentation envs.
-    pub fn tail_link(&self) -> i64 {
-        self.tail
     }
 
     /// Values front-to-back, or `None` when the chain is corrupt.
@@ -182,10 +194,13 @@ impl CObList {
         const M: &str = "AddHead";
         let p_new_node = self.arena.alloc(value);
         let p_old_head = self.head;
-        let env = self
-            .globals_env()
-            .bind("pNewNode", p_new_node)
-            .bind("pOldHead", p_old_head);
+        let attrs = self.attributes();
+        let env = move || {
+            attrs
+                .env()
+                .bind("pNewNode", p_new_node)
+                .bind("pOldHead", p_old_head)
+        };
         // Site 0: the new node's next link ← pOldHead.
         let next_link = self.switch.read_int(M, 0, "pOldHead", p_old_head, &env);
         self.arena
@@ -221,11 +236,14 @@ impl CObList {
         let p_old_head = self.head;
         let p_next = self.arena.next(p_old_head).map_err(|e| bad_link(M, e))?;
         let n_new_count = self.count - 1;
-        let env = self
-            .globals_env()
-            .bind("pOldHead", p_old_head)
-            .bind("pNext", p_next)
-            .bind("nNewCount", n_new_count);
+        let attrs = self.attributes();
+        let env = move || {
+            attrs
+                .env()
+                .bind("pOldHead", p_old_head)
+                .bind("pNext", p_next)
+                .bind("nNewCount", n_new_count)
+        };
         // Site 0: which node to free.
         let to_free = self.switch.read_int(M, 0, "pOldHead", p_old_head, &env);
         let value = self.arena.free(to_free).map_err(|e| bad_link(M, e))?;
@@ -258,8 +276,9 @@ impl CObList {
         let mut p_cur = self.head;
         let mut i = 0i64;
         let mut fuel = WATCHDOG;
+        let attrs = self.attributes();
         loop {
-            let env = self.globals_env().bind("i", i).bind("pCur", p_cur);
+            let env = move || attrs.env().bind("i", i).bind("pCur", p_cur);
             // Site 0: the loop comparison on i.
             if self.switch.read_int(M, 0, "i", i, &env) >= index {
                 break;
@@ -278,12 +297,14 @@ impl CObList {
         }
         let p_prev = self.arena.prev(p_cur).map_err(|e| bad_link(M, e))?;
         let p_next = self.arena.next(p_cur).map_err(|e| bad_link(M, e))?;
-        let env = self
-            .globals_env()
-            .bind("i", i)
-            .bind("pCur", p_cur)
-            .bind("pPrev", p_prev)
-            .bind("pNext", p_next);
+        let env = move || {
+            attrs
+                .env()
+                .bind("i", i)
+                .bind("pCur", p_cur)
+                .bind("pPrev", p_prev)
+                .bind("pNext", p_next)
+        };
         // Site 2: the prev side of the unlink.
         let unlink_prev = self.switch.read_int(M, 2, "pPrev", p_prev, &env);
         // Site 3: the next side of the unlink.

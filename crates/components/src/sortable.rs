@@ -12,7 +12,7 @@
 use crate::oblist::{coblist_inventory, CObList, WATCHDOG};
 use concat_bit::{BitControl, BuiltInTest, ComponentFactory, StateReport, TestableComponent};
 use concat_driver::InheritanceMap;
-use concat_mutation::{ClassInventory, ClonableFactory, MethodInventory, MutationSwitch, VarEnv};
+use concat_mutation::{ClassInventory, ClonableFactory, MethodInventory, MutationSwitch};
 use concat_runtime::{
     args, unknown_method, AssertionViolation, Component, InvokeResult, TestException, Value,
 };
@@ -170,21 +170,13 @@ impl CSortableObList {
         &self.base
     }
 
-    fn globals_env(&self) -> VarEnv {
-        VarEnv::new()
-            .bind("m_nCount", self.base.count())
-            .bind("m_pNodeHead", self.base.head_link())
-            .bind("m_pNodeTail", self.base.tail_link())
-            .bind("m_nBlockSize", self.base.block_size())
-    }
-
     fn load_values(&self, method: &str) -> Result<Vec<Value>, TestException> {
         self.base
             .values()
             .ok_or_else(|| TestException::domain(method, "corrupt chain"))
     }
 
-    fn store_values(&mut self, method: &str, vals: &[Value]) -> Result<(), TestException> {
+    fn store_values(&mut self, method: &str, vals: Vec<Value>) -> Result<(), TestException> {
         let nodes = self.base.node_indices(method)?;
         if nodes.len() != vals.len() {
             return Err(TestException::domain(
@@ -196,8 +188,8 @@ impl CSortableObList {
                 ),
             ));
         }
-        for (node, v) in nodes.iter().zip(vals.iter()) {
-            self.base.set_node_value(method, *node, v.clone())?;
+        for (node, v) in nodes.into_iter().zip(vals) {
+            self.base.set_node_value(method, node, v)?;
         }
         Ok(())
     }
@@ -218,15 +210,16 @@ impl CSortableObList {
         let n = vals.len() as i64;
         let mut i = 0i64;
         let mut fuel = WATCHDOG;
+        let attrs = self.base.attributes();
         loop {
-            let env = self.globals_env().bind("n", n).bind("i", i);
+            let env = move || attrs.env().bind("n", n).bind("i", i);
             // Site 0: outer loop comparison on i.
             if self.switch.read_int(M, 0, "i", i, &env) >= n {
                 break;
             }
             let mut j = 0i64;
             loop {
-                let env = self.globals_env().bind("n", n).bind("i", i).bind("j", j);
+                let env = move || attrs.env().bind("n", n).bind("i", i).bind("j", j);
                 // Site 1: inner loop bound (n - i - 1) read through i.
                 let bound = n - self.switch.read_int(M, 1, "i", i, &env) - 1;
                 if j >= bound {
@@ -255,7 +248,7 @@ impl CSortableObList {
                 return Err(TestException::domain(M, "watchdog: loop budget exceeded"));
             }
         }
-        self.store_values(M, &vals)?;
+        self.store_values(M, vals)?;
         let after = self.load_values(M)?;
         concat_bit::post_condition!(
             &self.ctl,
@@ -280,8 +273,9 @@ impl CSortableObList {
         let n = vals.len() as i64;
         let mut i = 0i64;
         let mut fuel = WATCHDOG;
+        let attrs = self.base.attributes();
         loop {
-            let env = self.globals_env().bind("n", n).bind("i", i);
+            let env = move || attrs.env().bind("n", n).bind("i", i);
             // Site 0: outer loop comparison on i.
             if self.switch.read_int(M, 0, "i", i, &env) >= n {
                 break;
@@ -290,12 +284,14 @@ impl CSortableObList {
             let mut min_idx = self.switch.read_int(M, 1, "i", i, &env);
             let mut j = i + 1;
             loop {
-                let env = self
-                    .globals_env()
-                    .bind("n", n)
-                    .bind("i", i)
-                    .bind("j", j)
-                    .bind("minIdx", min_idx);
+                let env = move || {
+                    attrs
+                        .env()
+                        .bind("n", n)
+                        .bind("i", i)
+                        .bind("j", j)
+                        .bind("minIdx", min_idx)
+                };
                 // Site 2: inner loop comparison on j.
                 if self.switch.read_int(M, 2, "j", j, &env) >= n {
                     break;
@@ -313,12 +309,14 @@ impl CSortableObList {
                 }
             }
             if min_idx != i {
-                let env = self
-                    .globals_env()
-                    .bind("n", n)
-                    .bind("i", i)
-                    .bind("j", j)
-                    .bind("minIdx", min_idx);
+                let env = move || {
+                    attrs
+                        .env()
+                        .bind("n", n)
+                        .bind("i", i)
+                        .bind("j", j)
+                        .bind("minIdx", min_idx)
+                };
                 // Site 4: the swap target.
                 let target = self.switch.read_int(M, 4, "i", i, &env);
                 let a = at(M, &vals, target)?.clone();
@@ -332,7 +330,7 @@ impl CSortableObList {
                 return Err(TestException::domain(M, "watchdog: loop budget exceeded"));
             }
         }
-        self.store_values(M, &vals)?;
+        self.store_values(M, vals)?;
         let after = self.load_values(M)?;
         concat_bit::post_condition!(
             &self.ctl,
@@ -357,19 +355,16 @@ impl CSortableObList {
         let n = vals.len() as i64;
         let mut gap = n / 2;
         let mut fuel = WATCHDOG;
+        let attrs = self.base.attributes();
         loop {
-            let env = self.globals_env().bind("n", n).bind("gap", gap);
+            let env = move || attrs.env().bind("n", n).bind("gap", gap);
             // Site 0: the gap-loop guard.
             if self.switch.read_int(M, 0, "gap", gap, &env) <= 0 {
                 break;
             }
             let mut i = gap;
             loop {
-                let env = self
-                    .globals_env()
-                    .bind("n", n)
-                    .bind("gap", gap)
-                    .bind("i", i);
+                let env = move || attrs.env().bind("n", n).bind("gap", gap).bind("i", i);
                 // Site 1: the scan comparison on i.
                 if self.switch.read_int(M, 1, "i", i, &env) >= n {
                     break;
@@ -379,12 +374,14 @@ impl CSortableObList {
                 let lifted = at(M, &vals, lifted_idx)?.clone();
                 let mut j = i;
                 loop {
-                    let env = self
-                        .globals_env()
-                        .bind("n", n)
-                        .bind("gap", gap)
-                        .bind("i", i)
-                        .bind("j", j);
+                    let env = move || {
+                        attrs
+                            .env()
+                            .bind("n", n)
+                            .bind("gap", gap)
+                            .bind("i", i)
+                            .bind("j", j)
+                    };
                     // Site 3: the insertion-loop comparison on j.
                     let jj = self.switch.read_int(M, 3, "j", j, &env);
                     if jj < gap {
@@ -414,7 +411,7 @@ impl CSortableObList {
             }
             gap /= 2;
         }
-        self.store_values(M, &vals)?;
+        self.store_values(M, vals)?;
         let after = self.load_values(M)?;
         concat_bit::post_condition!(
             &self.ctl,
@@ -454,12 +451,15 @@ impl CSortableObList {
         let mut best = vals[0].clone();
         let mut idx = 1i64;
         let mut fuel = WATCHDOG;
+        let attrs = self.base.attributes();
         loop {
-            let env = self
-                .globals_env()
-                .bind("n", n)
-                .bind("idx", idx)
-                .bind("best", best.clone());
+            let env = || {
+                attrs
+                    .env()
+                    .bind("n", n)
+                    .bind("idx", idx)
+                    .bind("best", best.clone())
+            };
             // Site 0: the scan comparison on idx.
             if self.switch.read_int(method, 0, "idx", idx, &env) >= n {
                 break;

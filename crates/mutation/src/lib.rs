@@ -82,7 +82,9 @@ pub use analysis::{
     MutantStatus, MutationConfig, MutationRun, ProcessIsolation, QuarantineReason,
 };
 pub use enumerate::{enumerate_mutants, expected_count, Mutant};
-pub use fault::{coerce_int, ClonableFactory, FaultPlan, MutationSwitch, Replacement, VarEnv};
+pub use fault::{
+    coerce_int, ClonableFactory, FaultPlan, MutationSwitch, Replacement, Scope, VarEnv,
+};
 pub use inventory::{ClassInventory, MethodInventory, UseSite};
 pub use journal::{
     campaign_fingerprint, decode_feature, decode_verdict, encode_feature, encode_verdict,
