@@ -123,7 +123,6 @@ pub struct Consumer {
     journal: Option<PathBuf>,
     isolation: IsolationMode,
     corpus: Option<PathBuf>,
-    incremental: bool,
 }
 
 impl Consumer {
@@ -137,7 +136,6 @@ impl Consumer {
             journal: None,
             isolation: IsolationMode::InThread,
             corpus: None,
-            incremental: false,
         }
     }
 
@@ -151,7 +149,6 @@ impl Consumer {
             journal: None,
             isolation: IsolationMode::InThread,
             corpus: None,
-            incremental: false,
         }
     }
 
@@ -210,8 +207,13 @@ impl Consumer {
     /// it lands, and a killed campaign rerun with the same journal path
     /// replays the recorded verdicts and re-executes only unfinished
     /// mutants — the resumed run's verdicts, score and report are
-    /// byte-identical to an uninterrupted one. No journal — and no extra
-    /// I/O — by default.
+    /// byte-identical to an uninterrupted one. When the campaign changed
+    /// since the journal was written, the verdicts of methods whose
+    /// per-method sub-fingerprint is unchanged are salvaged
+    /// (`mutation.incremental_rebuild`) and only the changed methods'
+    /// mutants re-execute, again byte-identical to a cold run for every
+    /// worker count and isolation mode. No journal — and no extra I/O —
+    /// by default.
     pub fn with_journal(mut self, path: impl Into<PathBuf>) -> Self {
         self.journal = Some(path.into());
         self
@@ -256,26 +258,6 @@ impl Consumer {
     /// The corpus directory amplification will seed from, if any.
     pub fn corpus(&self) -> Option<&Path> {
         self.corpus.as_deref()
-    }
-
-    /// Enables incremental change-aware analysis for journaled quality
-    /// evaluation: the journal carries per-method sub-fingerprints
-    /// alongside the campaign header, so when the campaign changes, the
-    /// verdicts of methods whose sub-fingerprint is unchanged are
-    /// salvaged (`mutation.incremental_rebuild`) and only the changed
-    /// methods' mutants re-execute — with results byte-identical to a
-    /// cold run for every worker count and isolation mode. A warm re-run
-    /// of an unchanged campaign replays every verdict and executes no
-    /// mutants, exactly like plain resume. Off by default (and a no-op
-    /// without [`Consumer::with_journal`]).
-    pub fn incremental(mut self) -> Self {
-        self.incremental = true;
-        self
-    }
-
-    /// True when incremental change-aware analysis is enabled.
-    pub fn is_incremental(&self) -> bool {
-        self.incremental
     }
 
     /// The telemetry handle this consumer propagates.
@@ -644,14 +626,12 @@ impl Consumer {
         }
         Ok(MutationConfig {
             probe_suites,
-            silence_panics: true,
             bit_enabled,
             telemetry: self.telemetry.clone(),
             budget: self.budget,
             workers: self.workers(),
             journal_path: self.journal.clone(),
             isolation: self.isolation.clone(),
-            incremental: self.incremental,
             ..MutationConfig::default()
         })
     }

@@ -23,7 +23,7 @@ use concat_driver::{
     execute_sequence, generate_walk, load_sequence, save_sequence, shrink_sequence, FailureKind,
     InvariantBreaker, InvariantSummary, WalkConfig, WalkSequence,
 };
-use concat_runtime::{crc32, recover_journal, CancelToken, CorpusStore, Journal, Watchdog};
+use concat_runtime::{crc32, open_bound_journal, CancelToken, CorpusStore, Journal, Watchdog};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -366,21 +366,13 @@ fn resume_journal(
     path: &Path,
     fingerprint: u32,
 ) -> std::io::Result<(Journal, BTreeMap<usize, JournaledWalk>)> {
-    let (mut journal, scan) = recover_journal(path)?;
-    let header = journal_header(fingerprint);
-    if scan.records.first() == Some(&header) {
-        let mut walks = BTreeMap::new();
-        for record in &scan.records[1..] {
-            if let Some((index, walk)) = decode_walk_record(record) {
-                walks.insert(index, walk);
-            }
-        }
-        Ok((journal, walks))
-    } else {
-        journal.clear()?;
-        journal.append(&header)?;
-        Ok((journal, BTreeMap::new()))
-    }
+    let (journal, records) =
+        open_bound_journal(path, &journal_header(fingerprint), |_| Vec::new())?;
+    let walks = records
+        .iter()
+        .filter_map(|record| decode_walk_record(record))
+        .collect();
+    Ok((journal, walks))
 }
 
 /// Escapes a payload into the single-line, tab-free form journal fields
@@ -588,7 +580,7 @@ mod tests {
             .with_journal(&path)
             .invariant_campaign(&bundle, &config);
         assert_eq!(campaign.summary.walks, 3);
-        let (_, scan) = recover_journal(&path).unwrap();
+        let (_, scan) = concat_runtime::recover_journal(&path).unwrap();
         assert_eq!(
             scan.records.first(),
             Some(&journal_header(campaign_fingerprint(

@@ -211,7 +211,6 @@ fn round_config(
 ) -> MutationConfig {
     MutationConfig {
         probe_suites: Vec::new(),
-        silence_panics: config.silence_panics,
         bit_enabled: config.bit_enabled,
         telemetry: telemetry.clone(),
         budget: config.budget,
@@ -221,10 +220,8 @@ fn round_config(
             .journal_path
             .as_ref()
             .map(|p| PathBuf::from(format!("{}.r{round}", p.display()))),
-        worker_restarts: config.worker_restarts,
         coverage_selection: config.coverage_selection,
         isolation: config.isolation.clone(),
-        incremental: false,
         lineage,
     }
 }

@@ -16,7 +16,7 @@
 
 use crate::enumerate::Mutant;
 use crate::fault::MutationSwitch;
-use crate::journal::{campaign_fingerprint, CampaignJournal};
+use crate::journal::{CampaignJournal, CampaignText};
 use concat_bit::ComponentFactory;
 use concat_driver::{
     differing_cases, CaseStatus, CoverageMatrix, SuiteResult, TestLog, TestRunner, TestSuite,
@@ -27,6 +27,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 /// Why a mutant died.
@@ -251,9 +252,6 @@ pub struct MutationConfig {
     /// (generated by the caller, typically with different seeds and a
     /// higher cycle bound). Empty = every survivor stays `Survived`.
     pub probe_suites: Vec<TestSuite>,
-    /// Install a silent panic hook for the duration of the run so that
-    /// thousands of *expected* mutant panics do not flood stderr.
-    pub silence_panics: bool,
     /// Run with built-in test capabilities enabled (the paper's test
     /// mode). Setting this to `false` is the assertions-off ablation: the
     /// partial oracle disappears and only crashes and golden-output
@@ -288,19 +286,17 @@ pub struct MutationConfig {
     /// verdict is appended (checksummed, fsynced) as its mutant finishes,
     /// and a rerun over the same campaign replays the journal's verified
     /// prefix instead of re-executing finished mutants — the resumed run
-    /// is byte-identical to an uninterrupted one. `None` (default) keeps
-    /// the analysis purely in-memory. Journal I/O failures degrade (the
+    /// is byte-identical to an uninterrupted one. The journal also
+    /// records one `feature` line per mutated method (its sub-fingerprint
+    /// and mutant ids; see [`CampaignJournal`]), so a rerun of
+    /// a *changed* campaign salvages the verdicts of every method whose
+    /// sub-fingerprint is unchanged (remapped onto the shifted ids,
+    /// counted once as `mutation.incremental_rebuild`) and re-executes
+    /// only the changed methods' mutants. `None` (default) keeps the
+    /// analysis purely in-memory. Journal I/O failures degrade (the
     /// campaign continues without durability, counting `harden.degraded`)
     /// rather than aborting the run.
     pub journal_path: Option<PathBuf>,
-    /// How many lease crashes a campaign absorbs before the fleet flags
-    /// `mutation.restarts_exhausted` in the harness-health table. Each
-    /// crash costs at most its in-flight mutant, and the campaign keeps
-    /// leasing past the budget: it still ends, because a mutant that
-    /// kills its lease twice is convicted and leases that die without
-    /// progress degrade the campaign (a solo run then finishes inline).
-    /// Partial results are never discarded.
-    pub worker_restarts: usize,
     /// Coverage-matrix selection (the fast path): per mutant, execute
     /// only the cases whose transactions statically invoke the mutated
     /// method — every other case cannot reach an armed site (see
@@ -316,18 +312,6 @@ pub struct MutationConfig {
     /// deliberately absent from the campaign fingerprint and journals
     /// interchange freely. The sequential entry point ignores it.
     pub isolation: IsolationMode,
-    /// Incremental (change-aware) resume. When set together with
-    /// `journal_path`, the journal additionally records one `feature`
-    /// line per mutated method (its sub-fingerprint and mutant ids; see
-    /// [`crate::method_fingerprints`]), and a journal whose campaign
-    /// fingerprint no longer matches is *salvaged* method by method
-    /// instead of discarded: methods whose sub-fingerprint is unchanged
-    /// keep their verdicts (remapped onto the shifted ids), and only the
-    /// changed methods' mutants re-execute. The flag itself is excluded
-    /// from the campaign fingerprint — verdicts are identical either way,
-    /// so incremental and plain runs share journals freely. `false` by
-    /// default.
-    pub incremental: bool,
     /// Fingerprint of the parent campaign, for derived journals: the
     /// amplifier stamps each round journal (`<journal>.r<round>`) with
     /// the parent campaign's fingerprint so a stale round journal left at
@@ -341,17 +325,14 @@ impl Default for MutationConfig {
     fn default() -> Self {
         MutationConfig {
             probe_suites: Vec::new(),
-            silence_panics: true,
             bit_enabled: true,
             telemetry: Telemetry::disabled(),
             budget: Budget::unlimited(),
             crash_quarantine_threshold: None,
             workers: recommended_workers(),
             journal_path: None,
-            worker_restarts: 4,
             coverage_selection: true,
             isolation: IsolationMode::InThread,
-            incremental: false,
             lineage: None,
         }
     }
@@ -361,7 +342,6 @@ impl fmt::Debug for MutationConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MutationConfig")
             .field("probe_suites", &self.probe_suites.len())
-            .field("silence_panics", &self.silence_panics)
             .field("telemetry_enabled", &self.telemetry.is_enabled())
             .field("budget", &self.budget)
             .field(
@@ -370,10 +350,8 @@ impl fmt::Debug for MutationConfig {
             )
             .field("workers", &self.workers)
             .field("journal_path", &self.journal_path)
-            .field("worker_restarts", &self.worker_restarts)
             .field("coverage_selection", &self.coverage_selection)
             .field("isolation", &self.isolation)
-            .field("incremental", &self.incremental)
             .field("lineage", &self.lineage)
             .finish()
     }
@@ -985,8 +963,9 @@ impl Ledger {
     }
 
     /// Opens the journal at `config.journal_path` (with torn-tail
-    /// recovery), when one is configured, and replays its verified
-    /// verdicts into the slots. Replayed verdicts re-emit their
+    /// recovery and method-level salvage; see [`CampaignJournal`]), when
+    /// one is configured, and replays its verified verdicts into the
+    /// slots. Replayed verdicts re-emit their
     /// classification counters, plus one `mutation.replayed` each, so a
     /// resumed run's counter totals match an uninterrupted run's.
     pub(crate) fn open_journal(
@@ -1001,26 +980,18 @@ impl Ledger {
             return;
         };
         let open_span = self.telemetry.span("journal", "open");
-        let fingerprint = campaign_fingerprint(class_name, suite, mutants, config);
+        let text = CampaignText::new(class_name, suite, mutants, config);
+        let fingerprint = text.fingerprint();
         self.fingerprint = Some(fingerprint);
-        let resumed = if config.incremental {
-            let features = crate::journal::method_fingerprints(class_name, suite, mutants, config);
-            CampaignJournal::resume_incremental(path, fingerprint, &features, mutants.len()).map(
-                |resume| {
-                    if resume.rebuilt {
-                        self.telemetry.incr("mutation.incremental_rebuild");
-                    }
-                    (resume.journal, resume.replayed)
-                },
-            )
-        } else {
-            CampaignJournal::resume(path, fingerprint, mutants.len())
-        };
+        let opened = CampaignJournal::open(path, fingerprint, mutants.len(), || text.features());
         open_span.finish();
-        let Ok((journal, replayed)) = resumed else {
+        let Ok((journal, replayed, salvaged)) = opened else {
             self.telemetry.incr("harden.degraded");
             return;
         };
+        if salvaged {
+            self.telemetry.incr("mutation.incremental_rebuild");
+        }
         self.journal = Some(journal);
         for (index, status) in replayed {
             if self.is_done(index) || index >= self.slots.len() {
@@ -1234,7 +1205,7 @@ pub fn run_mutation_analysis(
     mutants: &[Mutant],
     config: &MutationConfig,
 ) -> MutationRun {
-    let _hook_guard = config.silence_panics.then(PanicSilencer::install);
+    let _hook_guard = PanicSilencer::install();
     let run_span = config.telemetry.span("mutation", factory.class_name());
     // Everything inside the campaign emits through the scoped handle, so
     // golden/journal/mutant spans nest under the `mutation` root.
@@ -1317,30 +1288,47 @@ fn first_difference(golden: &SuiteResult, observed: &SuiteResult) -> Option<(usi
     Some((case_id, reason))
 }
 
-/// Installs a silent panic hook and restores the previous hook on drop.
-///
-/// Mutant executions are *expected* to panic (that is a kill signal);
-/// without this, a Table-2 scale run prints thousands of backtraces.
 type PanicHook = Box<dyn Fn(&std::panic::PanicHookInfo<'_>) + Sync + Send>;
 
-pub(crate) struct PanicSilencer {
-    previous: Option<PanicHook>,
-}
+/// The live silencers and the hook the first of them replaced.
+static SILENCERS: Mutex<(usize, Option<PanicHook>)> = Mutex::new((0, None));
+
+/// Keeps the process-wide panic hook silent while any campaign runs.
+///
+/// Mutant executions are *expected* to panic (that is a kill signal);
+/// without this, a Table-2 scale run prints thousands of backtraces. The
+/// hook is process-global and campaigns overlap on other threads, so
+/// silencers are counted: the first one swaps the silent hook in and the
+/// last one to drop puts the saved hook back, in whatever order they end.
+pub(crate) struct PanicSilencer(());
 
 impl PanicSilencer {
     pub(crate) fn install() -> Self {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        PanicSilencer {
-            previous: Some(previous),
+        // Every update below leaves the pair consistent, so a poisoned
+        // lock holds valid state.
+        let mut silencers = SILENCERS.lock().unwrap_or_else(PoisonError::into_inner);
+        if silencers.0 == 0 {
+            let current = std::panic::take_hook();
+            // A hook still saved (its last silencer dropped mid-panic)
+            // is the one to restore; the current one is silent.
+            silencers.1.get_or_insert(current);
+            std::panic::set_hook(Box::new(|_| {}));
         }
+        silencers.0 += 1;
+        PanicSilencer(())
     }
 }
 
 impl Drop for PanicSilencer {
     fn drop(&mut self) {
-        if let Some(prev) = self.previous.take() {
-            std::panic::set_hook(prev);
+        let mut silencers = SILENCERS.lock().unwrap_or_else(PoisonError::into_inner);
+        silencers.0 -= 1;
+        // `set_hook` panics on a panicking thread: there the saved hook
+        // stays saved, and the next silencer keeps it.
+        if silencers.0 == 0 && !std::thread::panicking() {
+            if let Some(previous) = silencers.1.take() {
+                std::panic::set_hook(previous);
+            }
         }
     }
 }
@@ -1351,7 +1339,7 @@ mod tests {
     use crate::enumerate::enumerate_mutants;
     use crate::fault::{ClonableFactory, VarEnv};
     use crate::inventory::{ClassInventory, MethodInventory};
-    use crate::orchestrator::run_mutation_analysis_parallel;
+    use crate::orchestrator::{run_mutation_analysis_parallel, WORKER_RESTARTS};
     use concat_bit::{BitControl, BuiltInTest, StateReport, TestableComponent};
     use concat_driver::{MethodCall, SuiteStats, TestCase};
     use concat_obs::MemorySink;
@@ -1897,22 +1885,55 @@ mod tests {
 
     #[test]
     fn exhausted_restart_budget_degrades_but_still_completes() {
-        let mutants = enumerate_mutants(&inventory(), &["AddTwice"]);
-        let baseline = analyze(5, vec![]);
+        // The AddTwice mutants twice over: twice the grenades, so more
+        // thread leases crash than the restart budget absorbs.
+        let once = enumerate_mutants(&inventory(), &["AddTwice"]);
+        let mutants: Vec<Mutant> = once
+            .iter()
+            .chain(&once)
+            .enumerate()
+            .map(|(id, mutant)| Mutant {
+                id,
+                ..mutant.clone()
+            })
+            .collect();
+        let switch = MutationSwitch::new();
+        let factory = AccFactory {
+            switch: switch.clone(),
+        };
+        let baseline = run_mutation_analysis(
+            &factory,
+            &switch,
+            &suite(5),
+            &mutants,
+            &MutationConfig::default(),
+        );
+        let sink = Arc::new(MemorySink::new());
         let run = run_mutation_analysis_parallel(
             Arc::new(GrenadeShards),
             &suite(5),
             &mutants,
             &MutationConfig {
                 workers: 2,
-                worker_restarts: 0,
+                telemetry: Telemetry::new(sink.clone()),
                 ..MutationConfig::default()
             },
         );
         // A spent restart budget is flagged, not fatal: the fleet keeps
         // leasing (each crash costs only its own mutant), and the campaign
         // completes — never aborting with partial results discarded.
-        assert_contained(&run, &baseline);
+        let crashed = assert_contained(&run, &baseline);
+        assert!(crashed.len() as u64 > WORKER_RESTARTS);
+        let summary = sink.summary();
+        assert_eq!(summary.counter("mutation.restarts_exhausted"), 1);
+        let degraded: Vec<_> = summary
+            .snapshots
+            .iter()
+            .filter(|s| s.name == "campaign.degraded")
+            .collect();
+        assert_eq!(degraded.len(), 1, "one campaign.degraded snapshot");
+        let spent = ("restarts_spent".to_owned(), WORKER_RESTARTS as i64);
+        assert!(degraded[0].readings.contains(&spent));
     }
 
     /// `Acc` shards that fleet slots can build only `spare` times: every

@@ -15,6 +15,8 @@
 //!
 //! ```text
 //! campaign <fingerprint, 8 hex digits>
+//! feature <method> <sub-fingerprint> <mutant id…>
+//! ...
 //! verdict <mutant id> killed crash <case id>
 //! verdict <mutant id> survived
 //! verdict <mutant id> quarantined worker-crash
@@ -22,18 +24,175 @@
 //! ```
 //!
 //! The header fingerprint binds the journal to one campaign — subject
-//! class, suite, probe suites, budget, mutant list. A journal whose
-//! header does not match the resuming campaign is discarded wholesale
-//! rather than replayed into the wrong run.
+//! class, suite, probe suites, budget, mutant list — and each `feature`
+//! record binds one mutated method's verdicts to what determines them. A
+//! journal whose header matches replays as it is. Any other journal is
+//! salvaged method by method: a method whose feature record still
+//! matches keeps its verdicts, everything else re-executes.
 
 use crate::analysis::{KillReason, MutantStatus, MutationConfig, QuarantineReason};
 use crate::enumerate::Mutant;
 use concat_driver::{CoverageMatrix, TestSuite};
-use concat_runtime::{crc32, recover_journal, Journal};
+use concat_runtime::{crc32, open_bound_journal, Journal};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::io;
+use std::ops::Range;
 use std::path::Path;
+
+/// A campaign's fingerprint text, rendered once, with where each
+/// killing-suite and probe-suite case sits in it: the per-method features
+/// hash the same case renderings as the campaign fingerprint.
+pub(crate) struct CampaignText<'a> {
+    class_name: &'a str,
+    suite: &'a TestSuite,
+    mutants: &'a [Mutant],
+    config: &'a MutationConfig,
+    text: String,
+    cases: Vec<Range<usize>>,
+    probe_cases: Vec<Vec<Range<usize>>>,
+}
+
+/// The verdict-relevant configuration both fingerprints cover.
+fn write_config(text: &mut String, config: &MutationConfig) {
+    let _ = writeln!(text, "bit {}", config.bit_enabled);
+    let _ = writeln!(
+        text,
+        "crash_threshold {:?}",
+        config.crash_quarantine_threshold
+    );
+    let _ = writeln!(text, "budget {:?}", config.budget);
+}
+
+/// Appends one `<tag> <case>` line per case of `suite` and returns where
+/// each case's rendering sits in `text`.
+fn render_cases(text: &mut String, tag: &str, suite: &TestSuite) -> Vec<Range<usize>> {
+    suite
+        .cases
+        .iter()
+        .map(|case| {
+            let _ = write!(text, "{tag} ");
+            let start = text.len();
+            let _ = writeln!(text, "{case:?}");
+            start..text.len() - 1
+        })
+        .collect()
+}
+
+impl<'a> CampaignText<'a> {
+    pub(crate) fn new(
+        class_name: &'a str,
+        suite: &'a TestSuite,
+        mutants: &'a [Mutant],
+        config: &'a MutationConfig,
+    ) -> CampaignText<'a> {
+        let mut text = String::new();
+        let _ = writeln!(text, "class {class_name}");
+        let _ = writeln!(text, "suite {} {}", suite.seed, suite.cases.len());
+        let cases = render_cases(&mut text, "case", suite);
+        let mut probe_cases = Vec::with_capacity(config.probe_suites.len());
+        for probe in &config.probe_suites {
+            let _ = writeln!(text, "probe {} {}", probe.seed, probe.cases.len());
+            probe_cases.push(render_cases(&mut text, "probe-case", probe));
+        }
+        write_config(&mut text, config);
+        for mutant in mutants {
+            let _ = writeln!(text, "mutant {mutant}");
+        }
+        if let Some(lineage) = config.lineage {
+            let _ = writeln!(text, "lineage {lineage:08x}");
+        }
+        CampaignText {
+            class_name,
+            suite,
+            mutants,
+            config,
+            text,
+            cases,
+            probe_cases,
+        }
+    }
+
+    /// See [`campaign_fingerprint`].
+    pub(crate) fn fingerprint(&self) -> u32 {
+        crc32(self.text.as_bytes())
+    }
+
+    /// The per-method sub-fingerprints (see [`FeatureFingerprint`]). A
+    /// method's sub-fingerprint covers exactly what can change its
+    /// mutants' verdicts: the method's own mutant list (rendered without
+    /// campaign-global ids, which are an artifact of enumeration order),
+    /// the cases that statically cover the method in the killing suite
+    /// and in each probe suite (the coverage contract says no other case
+    /// can arm its mutants), and the verdict-relevant configuration.
+    /// Suite seeds and campaign-global structure are deliberately
+    /// excluded so an unrelated method's change never invalidates this
+    /// one.
+    pub(crate) fn features(&self) -> Vec<FeatureFingerprint> {
+        let config = self.config;
+        let coverage = CoverageMatrix::from_suite(self.suite);
+        let probe_coverage: Vec<CoverageMatrix> = config
+            .probe_suites
+            .iter()
+            .map(CoverageMatrix::from_suite)
+            .collect();
+        // Group mutants by method, keeping first-appearance order; each
+        // entry is `(global id, id-free rendering)` — ids are an artifact
+        // of enumeration order and must not influence the sub-fingerprint.
+        let mut order: Vec<&str> = Vec::new();
+        let mut by_method: BTreeMap<&str, Vec<(usize, String)>> = BTreeMap::new();
+        for mutant in self.mutants {
+            let method = mutant.method();
+            if !by_method.contains_key(method) {
+                order.push(method);
+            }
+            by_method
+                .entry(method)
+                .or_default()
+                .push((mutant.id, format!("[{}] {}", mutant.operator, mutant.plan)));
+        }
+        order
+            .into_iter()
+            .map(|method| {
+                let mut text = String::new();
+                let _ = writeln!(text, "class {}", self.class_name);
+                let _ = writeln!(text, "method {method}");
+                let covering: BTreeSet<usize> =
+                    coverage.cases_covering(method).into_iter().collect();
+                for (case, range) in self.suite.cases.iter().zip(&self.cases) {
+                    if covering.contains(&case.id) {
+                        let _ = writeln!(text, "case {}", &self.text[range.clone()]);
+                    }
+                }
+                for (index, probe) in config.probe_suites.iter().enumerate() {
+                    let _ = writeln!(text, "probe {index}");
+                    let covering: BTreeSet<usize> = probe_coverage[index]
+                        .cases_covering(method)
+                        .into_iter()
+                        .collect();
+                    for (case, range) in probe.cases.iter().zip(&self.probe_cases[index]) {
+                        if covering.contains(&case.id) {
+                            let _ = writeln!(text, "probe-case {}", &self.text[range.clone()]);
+                        }
+                    }
+                }
+                write_config(&mut text, config);
+                if let Some(lineage) = config.lineage {
+                    let _ = writeln!(text, "lineage {lineage:08x}");
+                }
+                let entries = by_method.remove(method).unwrap_or_default();
+                for (_, rendered) in &entries {
+                    let _ = writeln!(text, "mutant {rendered}");
+                }
+                FeatureFingerprint {
+                    method: method.to_owned(),
+                    fingerprint: crc32(text.as_bytes()),
+                    mutant_ids: entries.into_iter().map(|(id, _)| id).collect(),
+                }
+            })
+            .collect()
+    }
+}
 
 /// Computes the campaign fingerprint recorded in the journal header:
 /// a CRC-32 over everything that determines the verdict vector — the
@@ -49,32 +208,7 @@ pub fn campaign_fingerprint(
     mutants: &[Mutant],
     config: &MutationConfig,
 ) -> u32 {
-    let mut text = String::new();
-    let _ = writeln!(text, "class {class_name}");
-    let _ = writeln!(text, "suite {} {}", suite.seed, suite.cases.len());
-    for case in &suite.cases {
-        let _ = writeln!(text, "case {case:?}");
-    }
-    for probe in &config.probe_suites {
-        let _ = writeln!(text, "probe {} {}", probe.seed, probe.cases.len());
-        for case in &probe.cases {
-            let _ = writeln!(text, "probe-case {case:?}");
-        }
-    }
-    let _ = writeln!(text, "bit {}", config.bit_enabled);
-    let _ = writeln!(
-        text,
-        "crash_threshold {:?}",
-        config.crash_quarantine_threshold
-    );
-    let _ = writeln!(text, "budget {:?}", config.budget);
-    for mutant in mutants {
-        let _ = writeln!(text, "mutant {mutant}");
-    }
-    if let Some(lineage) = config.lineage {
-        let _ = writeln!(text, "lineage {lineage:08x}");
-    }
-    crc32(text.as_bytes())
+    CampaignText::new(class_name, suite, mutants, config).fingerprint()
 }
 
 fn header(fingerprint: u32) -> String {
@@ -85,12 +219,12 @@ fn header(fingerprint: u32) -> String {
 /// sub-fingerprint of everything that determines *its* mutants' verdicts,
 /// and the campaign-global ids of those mutants (in enumeration order).
 ///
-/// Incremental resume compares sub-fingerprints method by method: a
-/// method whose sub-fingerprint is unchanged keeps its verdicts (remapped
-/// positionally onto the new ids, which shift when an earlier method's
-/// mutant inventory grows or shrinks); a changed method re-executes.
+/// Resume compares sub-fingerprints method by method: a method whose
+/// sub-fingerprint is unchanged keeps its verdicts (remapped positionally
+/// onto the new ids, which shift when an earlier method's mutant
+/// inventory grows or shrinks); a changed method re-executes.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FeatureFingerprint {
+pub(crate) struct FeatureFingerprint {
     /// The mutated interface method.
     pub method: String,
     /// CRC-32 over the method's mutants (id-free), its covering cases
@@ -101,90 +235,9 @@ pub struct FeatureFingerprint {
     pub mutant_ids: Vec<usize>,
 }
 
-/// Computes the per-method sub-fingerprints of a campaign (see
-/// [`FeatureFingerprint`]). A method's sub-fingerprint covers exactly
-/// what can change its mutants' verdicts: the method's own mutant list
-/// (rendered without campaign-global ids, which are an artifact of
-/// enumeration order), the cases that statically cover the method in the
-/// killing suite and in each probe suite (the coverage contract says no
-/// other case can arm its mutants), and the verdict-relevant
-/// configuration. Suite seeds and campaign-global structure are
-/// deliberately excluded so an unrelated method's change never
-/// invalidates this one.
-pub fn method_fingerprints(
-    class_name: &str,
-    suite: &TestSuite,
-    mutants: &[Mutant],
-    config: &MutationConfig,
-) -> Vec<FeatureFingerprint> {
-    let coverage = CoverageMatrix::from_suite(suite);
-    let probe_coverage: Vec<CoverageMatrix> = config
-        .probe_suites
-        .iter()
-        .map(CoverageMatrix::from_suite)
-        .collect();
-    // Group mutants by method, keeping first-appearance order; each
-    // entry is `(global id, id-free rendering)` — ids are an artifact of
-    // enumeration order and must not influence the sub-fingerprint.
-    let mut order: Vec<&str> = Vec::new();
-    let mut by_method: BTreeMap<&str, Vec<(usize, String)>> = BTreeMap::new();
-    for mutant in mutants {
-        let method = mutant.method();
-        if !by_method.contains_key(method) {
-            order.push(method);
-        }
-        by_method
-            .entry(method)
-            .or_default()
-            .push((mutant.id, format!("[{}] {}", mutant.operator, mutant.plan)));
-    }
-    order
-        .into_iter()
-        .map(|method| {
-            let mut text = String::new();
-            let _ = writeln!(text, "class {class_name}");
-            let _ = writeln!(text, "method {method}");
-            let covering: BTreeSet<usize> = coverage.cases_covering(method).into_iter().collect();
-            for case in suite.cases.iter().filter(|c| covering.contains(&c.id)) {
-                let _ = writeln!(text, "case {case:?}");
-            }
-            for (index, probe) in config.probe_suites.iter().enumerate() {
-                let _ = writeln!(text, "probe {index}");
-                let covering: BTreeSet<usize> = probe_coverage[index]
-                    .cases_covering(method)
-                    .into_iter()
-                    .collect();
-                for case in probe.cases.iter().filter(|c| covering.contains(&c.id)) {
-                    let _ = writeln!(text, "probe-case {case:?}");
-                }
-            }
-            let _ = writeln!(text, "bit {}", config.bit_enabled);
-            let _ = writeln!(
-                text,
-                "crash_threshold {:?}",
-                config.crash_quarantine_threshold
-            );
-            let _ = writeln!(text, "budget {:?}", config.budget);
-            if let Some(lineage) = config.lineage {
-                let _ = writeln!(text, "lineage {lineage:08x}");
-            }
-            let entries = by_method.get(method).cloned().unwrap_or_default();
-            for (_, rendered) in &entries {
-                let _ = writeln!(text, "mutant {rendered}");
-            }
-            let mutant_ids = entries.into_iter().map(|(id, _)| id).collect();
-            FeatureFingerprint {
-                method: method.to_owned(),
-                fingerprint: crc32(text.as_bytes()),
-                mutant_ids,
-            }
-        })
-        .collect()
-}
-
 /// Encodes one feature record for the journal:
 /// `feature <method> <sub-fingerprint> <mutant id…>`.
-pub fn encode_feature(feature: &FeatureFingerprint) -> String {
+fn encode_feature(feature: &FeatureFingerprint) -> String {
     let mut record = format!("feature {} {:08x}", feature.method, feature.fingerprint);
     for id in &feature.mutant_ids {
         let _ = write!(record, " {id}");
@@ -194,7 +247,7 @@ pub fn encode_feature(feature: &FeatureFingerprint) -> String {
 
 /// Decodes a feature record; `None` for anything that is not one
 /// (verdict records, the header, foreign payloads).
-pub fn decode_feature(record: &str) -> Option<FeatureFingerprint> {
+fn decode_feature(record: &str) -> Option<FeatureFingerprint> {
     let mut parts = record.split(' ');
     if parts.next()? != "feature" {
         return None;
@@ -286,161 +339,109 @@ pub fn decode_verdict(record: &str) -> Option<(usize, MutantStatus)> {
     Some((id, status))
 }
 
-/// A per-campaign verdict journal: opened (with recovery and replay) by
-/// [`CampaignJournal::resume`], appended to as each mutant finishes.
+/// `(mutant id, verdict)` pairs, in journal order.
+type Verdicts = Vec<(usize, MutantStatus)>;
+
+/// A per-campaign verdict journal: opened (with recovery, replay and
+/// salvage) by [`CampaignJournal::resume`], appended to as each mutant
+/// finishes.
 #[derive(Debug)]
 pub struct CampaignJournal {
     journal: Journal,
 }
 
-/// What [`CampaignJournal::resume_incremental`] recovered.
-#[derive(Debug)]
-pub struct IncrementalResume {
-    /// The (re)opened journal, positioned for appends.
-    pub journal: CampaignJournal,
-    /// Verdicts recovered from the journal, in mutant-id order.
-    pub replayed: Vec<(usize, MutantStatus)>,
-    /// Whether a foreign journal was rebuilt by method-level salvage
-    /// (as opposed to a clean header match or a fresh start).
-    pub rebuilt: bool,
+/// Keeps the stale journal's verdicts of every method in `features` whose
+/// stored feature record has the same sub-fingerprint and mutant count,
+/// remapped positionally onto the new ids.
+fn salvage(stale: &[String], features: &[FeatureFingerprint], mutant_count: usize) -> Verdicts {
+    let mut old_features: BTreeMap<String, (u32, Vec<usize>)> = BTreeMap::new();
+    let mut old_verdicts: BTreeMap<usize, MutantStatus> = BTreeMap::new();
+    for record in stale {
+        if let Some(feature) = decode_feature(record) {
+            old_features
+                .entry(feature.method)
+                .or_insert((feature.fingerprint, feature.mutant_ids));
+        } else if let Some((id, status)) = decode_verdict(record) {
+            old_verdicts.entry(id).or_insert(status);
+        }
+    }
+    let mut salvaged = Vec::new();
+    for feature in features {
+        let Some((old_fp, old_ids)) = old_features.get(&feature.method) else {
+            continue;
+        };
+        if *old_fp != feature.fingerprint || old_ids.len() != feature.mutant_ids.len() {
+            continue;
+        }
+        for (&new_id, old_id) in feature.mutant_ids.iter().zip(old_ids) {
+            if new_id < mutant_count {
+                if let Some(status) = old_verdicts.get(old_id) {
+                    salvaged.push((new_id, status.clone()));
+                }
+            }
+        }
+    }
+    salvaged.sort_by_key(|(id, _)| *id);
+    salvaged
 }
 
 impl CampaignJournal {
     /// Opens the journal at `path`, repairing any torn/corrupt tail, and
-    /// returns it together with the verdicts to replay.
+    /// returns it with the verdicts to replay and whether any of them
+    /// were salvaged from another campaign's journal.
     ///
-    /// * Missing file, or a header from a *different* campaign: the
-    ///   journal is reset to a fresh header and nothing is replayed.
     /// * Matching header: every verified verdict record for a known
-    ///   mutant id is returned for replay.
+    ///   mutant id replays, and the journal is not rewritten.
+    /// * Missing file, or a header from a *different* campaign: the
+    ///   journal is rewritten as header + `features` + the verdicts
+    ///   salvaged from it (see [`FeatureFingerprint`]). `features` is
+    ///   called only here, so a header match never computes them.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from recovery, reset or the header append.
+    /// Propagates I/O errors from recovery or the rewrite.
+    pub(crate) fn open(
+        path: &Path,
+        fingerprint: u32,
+        mutant_count: usize,
+        features: impl FnOnce() -> Vec<FeatureFingerprint>,
+    ) -> io::Result<(CampaignJournal, Verdicts, bool)> {
+        let mut salvaged = false;
+        let (journal, records) = open_bound_journal(path, &header(fingerprint), |stale| {
+            let features = features();
+            let kept = salvage(stale, &features, mutant_count);
+            salvaged = !kept.is_empty();
+            features
+                .iter()
+                .map(encode_feature)
+                .chain(kept.iter().map(|(id, status)| encode_verdict(*id, status)))
+                .collect()
+        })?;
+        let replayed = records
+            .iter()
+            .filter_map(|record| decode_verdict(record))
+            .filter(|(id, _)| *id < mutant_count)
+            .collect();
+        let journal = CampaignJournal { journal };
+        Ok((journal, replayed, salvaged))
+    }
+
+    /// Opens the journal at `path` like the engine does, but writes no
+    /// `feature` records: a matching header replays every verified
+    /// verdict for a known mutant id without rewriting the journal, and
+    /// anything else resets it to a fresh header (with no features to
+    /// compare, nothing is salvaged).
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors from recovery or the rewrite.
     pub fn resume(
         path: &Path,
         fingerprint: u32,
         mutant_count: usize,
     ) -> io::Result<(CampaignJournal, Vec<(usize, MutantStatus)>)> {
-        let (mut journal, scan) = recover_journal(path)?;
-        let expected = header(fingerprint);
-        if scan.records.first() == Some(&expected) {
-            let replayed = scan.records[1..]
-                .iter()
-                .filter_map(|record| decode_verdict(record))
-                .filter(|(id, _)| *id < mutant_count)
-                .collect();
-            return Ok((CampaignJournal { journal }, replayed));
-        }
-        // Not ours (or empty): start a fresh journal for this campaign.
-        journal.clear()?;
-        journal.append(&expected)?;
-        Ok((CampaignJournal { journal }, Vec::new()))
-    }
-
-    /// Opens the journal at `path` in *incremental* mode: like
-    /// [`CampaignJournal::resume`], but a journal from a *different*
-    /// campaign is salvaged method by method instead of discarded
-    /// wholesale.
-    ///
-    /// * Matching header: every verdict replays. If the stored feature
-    ///   records don't match the expected ones (e.g. the journal was
-    ///   written by a non-incremental run), the journal is rewritten in
-    ///   place with the features added so a future change can salvage.
-    /// * Mismatched header: the old journal's `feature` records are
-    ///   compared against `features`. A method whose sub-fingerprint and
-    ///   mutant count are unchanged keeps its verdicts, remapped
-    ///   positionally onto the new ids; everything else is dropped. The
-    ///   journal is rewritten as header + features + salvaged verdicts.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from recovery or the rewrite.
-    pub fn resume_incremental(
-        path: &Path,
-        fingerprint: u32,
-        features: &[FeatureFingerprint],
-        mutant_count: usize,
-    ) -> io::Result<IncrementalResume> {
-        let (mut journal, scan) = recover_journal(path)?;
-        let expected = header(fingerprint);
-        let feature_records: Vec<String> = features.iter().map(encode_feature).collect();
-        if scan.records.first() == Some(&expected) {
-            let stored: Vec<&String> = scan.records[1..]
-                .iter()
-                .filter(|r| r.starts_with("feature "))
-                .collect();
-            let replayed: Vec<(usize, MutantStatus)> = scan.records[1..]
-                .iter()
-                .filter_map(|record| decode_verdict(record))
-                .filter(|(id, _)| *id < mutant_count)
-                .collect();
-            if stored.len() != feature_records.len()
-                || stored.iter().zip(&feature_records).any(|(a, b)| *a != b)
-            {
-                journal.clear()?;
-                let mut batch = vec![expected];
-                batch.extend(feature_records);
-                batch.extend(
-                    replayed
-                        .iter()
-                        .map(|(id, status)| encode_verdict(*id, status)),
-                );
-                journal.append_all(&batch)?;
-            }
-            return Ok(IncrementalResume {
-                journal: CampaignJournal { journal },
-                replayed,
-                rebuilt: false,
-            });
-        }
-        // Foreign (or missing) journal: salvage unchanged features.
-        let mut old_features: BTreeMap<String, (u32, Vec<usize>)> = BTreeMap::new();
-        let mut old_verdicts: BTreeMap<usize, MutantStatus> = BTreeMap::new();
-        let had_campaign = matches!(scan.records.first(), Some(r) if r.starts_with("campaign "));
-        if had_campaign {
-            for record in &scan.records[1..] {
-                if let Some(feature) = decode_feature(record) {
-                    old_features
-                        .entry(feature.method)
-                        .or_insert((feature.fingerprint, feature.mutant_ids));
-                } else if let Some((id, status)) = decode_verdict(record) {
-                    old_verdicts.entry(id).or_insert(status);
-                }
-            }
-        }
-        let mut salvaged: Vec<(usize, MutantStatus)> = Vec::new();
-        for feature in features {
-            let Some((old_fp, old_ids)) = old_features.get(&feature.method) else {
-                continue;
-            };
-            if *old_fp != feature.fingerprint || old_ids.len() != feature.mutant_ids.len() {
-                continue;
-            }
-            for (&new_id, old_id) in feature.mutant_ids.iter().zip(old_ids) {
-                if new_id < mutant_count {
-                    if let Some(status) = old_verdicts.get(old_id) {
-                        salvaged.push((new_id, status.clone()));
-                    }
-                }
-            }
-        }
-        salvaged.sort_by_key(|(id, _)| *id);
-        journal.clear()?;
-        let mut batch = vec![expected];
-        batch.extend(feature_records);
-        batch.extend(
-            salvaged
-                .iter()
-                .map(|(id, status)| encode_verdict(*id, status)),
-        );
-        journal.append_all(&batch)?;
-        let rebuilt = had_campaign && !salvaged.is_empty();
-        Ok(IncrementalResume {
-            journal: CampaignJournal { journal },
-            replayed: salvaged,
-            rebuilt,
-        })
+        let (journal, replayed, _) = Self::open(path, fingerprint, mutant_count, Vec::new)?;
+        Ok((journal, replayed))
     }
 
     /// Durably appends one verdict; when this returns `Ok` the verdict
@@ -652,7 +653,7 @@ mod tests {
         let config = MutationConfig::default();
         let base = suite(vec![case(0, &["Scale"]), case(1, &["Bump"])]);
         let mutants = vec![mutant(0, "Scale", 0), mutant(1, "Bump", 0)];
-        let features = method_fingerprints("Acc", &base, &mutants, &config);
+        let features = CampaignText::new("Acc", &base, &mutants, &config).features();
         assert_eq!(features.len(), 2);
         assert_eq!(features[0].method, "Scale");
         assert_eq!(features[0].mutant_ids, vec![0]);
@@ -666,7 +667,7 @@ mod tests {
             mutant(1, "Scale", 1),
             mutant(2, "Bump", 0),
         ];
-        let regrown = method_fingerprints("Acc", &base, &grown, &config);
+        let regrown = CampaignText::new("Acc", &base, &grown, &config).features();
         assert_eq!(regrown[1].method, "Bump");
         assert_eq!(regrown[1].mutant_ids, vec![2]);
         assert_eq!(regrown[1].fingerprint, features[1].fingerprint);
@@ -674,28 +675,25 @@ mod tests {
 
         // Changing a case that covers only Bump leaves Scale alone.
         let retouched = suite(vec![case(0, &["Scale"]), case(1, &["Bump", "Bump"])]);
-        let touched = method_fingerprints("Acc", &retouched, &mutants, &config);
+        let touched = CampaignText::new("Acc", &retouched, &mutants, &config).features();
         assert_eq!(touched[0].fingerprint, features[0].fingerprint);
         assert_ne!(touched[1].fingerprint, features[1].fingerprint);
     }
 
     #[test]
-    fn resume_incremental_salvages_unchanged_methods_across_id_shifts() {
-        let dir = scratch("incremental-salvage");
+    fn open_salvages_unchanged_methods_across_id_shifts() {
+        let dir = scratch("salvage");
         let path = dir.join("campaign.journal");
         let config = MutationConfig::default();
         let base = suite(vec![case(0, &["Scale"]), case(1, &["Bump"])]);
         let old_mutants = vec![mutant(0, "Scale", 0), mutant(1, "Bump", 0)];
         let old_fp = campaign_fingerprint("Acc", &base, &old_mutants, &config);
-        let old_features = method_fingerprints("Acc", &base, &old_mutants, &config);
+        let old_features = CampaignText::new("Acc", &base, &old_mutants, &config).features();
 
-        let IncrementalResume {
-            mut journal,
-            replayed,
-            rebuilt,
-        } = CampaignJournal::resume_incremental(&path, old_fp, &old_features, 2).unwrap();
+        let (mut journal, replayed, salvaged) =
+            CampaignJournal::open(&path, old_fp, 2, || old_features.clone()).unwrap();
         assert!(replayed.is_empty());
-        assert!(!rebuilt);
+        assert!(!salvaged);
         journal
             .record(
                 0,
@@ -709,11 +707,10 @@ mod tests {
         drop(journal);
 
         // Warm re-run of the identical campaign: pure replay, no rewrite.
-        let IncrementalResume {
-            replayed, rebuilt, ..
-        } = CampaignJournal::resume_incremental(&path, old_fp, &old_features, 2).unwrap();
+        let (_, replayed, salvaged) =
+            CampaignJournal::open(&path, old_fp, 2, || old_features.clone()).unwrap();
         assert_eq!(replayed.len(), 2);
-        assert!(!rebuilt);
+        assert!(!salvaged);
 
         // Scale grows a mutant: Bump's ids shift 1 -> 2 but its verdict
         // must be salvaged; Scale's verdict is dropped.
@@ -724,63 +721,58 @@ mod tests {
         ];
         let new_fp = campaign_fingerprint("Acc", &base, &new_mutants, &config);
         assert_ne!(new_fp, old_fp);
-        let new_features = method_fingerprints("Acc", &base, &new_mutants, &config);
-        let IncrementalResume {
-            replayed, rebuilt, ..
-        } = CampaignJournal::resume_incremental(&path, new_fp, &new_features, 3).unwrap();
+        let new_features = CampaignText::new("Acc", &base, &new_mutants, &config).features();
+        let (_, replayed, salvaged) =
+            CampaignJournal::open(&path, new_fp, 3, || new_features.clone()).unwrap();
         assert_eq!(replayed, vec![(2, MutantStatus::Survived)]);
-        assert!(rebuilt);
+        assert!(salvaged);
 
-        // The rewritten journal replays cleanly as the new campaign.
-        let IncrementalResume {
-            replayed, rebuilt, ..
-        } = CampaignJournal::resume_incremental(&path, new_fp, &new_features, 3).unwrap();
+        // The rewritten journal replays cleanly as the new campaign, also
+        // through `resume`, which skips the feature records.
+        let (_, replayed, salvaged) =
+            CampaignJournal::open(&path, new_fp, 3, || new_features.clone()).unwrap();
         assert_eq!(replayed, vec![(2, MutantStatus::Survived)]);
-        assert!(!rebuilt);
+        assert!(!salvaged);
+        let (_, replayed) = CampaignJournal::resume(&path, new_fp, 3).unwrap();
+        assert_eq!(replayed, vec![(2, MutantStatus::Survived)]);
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn resume_incremental_upgrades_a_plain_journal_in_place() {
-        let dir = scratch("incremental-upgrade");
+    fn header_match_never_rewrites_a_journal_without_features() {
+        let dir = scratch("featureless");
         let path = dir.join("campaign.journal");
         let config = MutationConfig::default();
         let base = suite(vec![case(0, &["Scale"])]);
         let mutants = vec![mutant(0, "Scale", 0)];
         let fp = campaign_fingerprint("Acc", &base, &mutants, &config);
-        let features = method_fingerprints("Acc", &base, &mutants, &config);
 
-        // A non-incremental run writes header + verdicts, no features.
+        // `resume` writes header + verdicts, no features.
         let (mut journal, _) = CampaignJournal::resume(&path, fp, 1).unwrap();
         journal.record(0, &MutantStatus::Survived).unwrap();
         drop(journal);
+        let before = fs::read(&path).unwrap();
 
-        let IncrementalResume {
-            replayed, rebuilt, ..
-        } = CampaignJournal::resume_incremental(&path, fp, &features, 1).unwrap();
+        // The engine's opener replays it as it is: the features are never
+        // computed and the file is not touched.
+        let (_, replayed, salvaged) =
+            CampaignJournal::open(&path, fp, 1, || panic!("features computed on a match")).unwrap();
         assert_eq!(replayed, vec![(0, MutantStatus::Survived)]);
-        assert!(!rebuilt);
-
-        // The upgrade persisted: the plain resume path still replays (it
-        // skips feature records), and the feature records are now stored.
-        let (_journal, replayed) = CampaignJournal::resume(&path, fp, 1).unwrap();
-        assert_eq!(replayed, vec![(0, MutantStatus::Survived)]);
-        let (_, scan) = recover_journal(&path).unwrap();
-        assert!(scan.records.iter().any(|r| r.starts_with("feature Scale ")));
+        assert!(!salvaged);
+        assert_eq!(fs::read(&path).unwrap(), before);
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn resume_incremental_discards_changed_methods() {
-        let dir = scratch("incremental-discard");
+    fn open_discards_changed_methods() {
+        let dir = scratch("discard");
         let path = dir.join("campaign.journal");
         let config = MutationConfig::default();
         let base = suite(vec![case(0, &["Scale"]), case(1, &["Bump"])]);
         let mutants = vec![mutant(0, "Scale", 0), mutant(1, "Bump", 0)];
         let fp = campaign_fingerprint("Acc", &base, &mutants, &config);
-        let features = method_fingerprints("Acc", &base, &mutants, &config);
-        let IncrementalResume { mut journal, .. } =
-            CampaignJournal::resume_incremental(&path, fp, &features, 2).unwrap();
+        let features = CampaignText::new("Acc", &base, &mutants, &config).features();
+        let (mut journal, _, _) = CampaignJournal::open(&path, fp, 2, || features).unwrap();
         journal.record(0, &MutantStatus::Survived).unwrap();
         journal.record(1, &MutantStatus::Survived).unwrap();
         drop(journal);
@@ -789,12 +781,11 @@ mod tests {
         // Scale's verdict survives the resume.
         let touched = suite(vec![case(0, &["Scale"]), case(1, &["Bump", "Bump"])]);
         let new_fp = campaign_fingerprint("Acc", &touched, &mutants, &config);
-        let new_features = method_fingerprints("Acc", &touched, &mutants, &config);
-        let IncrementalResume {
-            replayed, rebuilt, ..
-        } = CampaignJournal::resume_incremental(&path, new_fp, &new_features, 2).unwrap();
+        let new_features = CampaignText::new("Acc", &touched, &mutants, &config).features();
+        let (_, replayed, salvaged) =
+            CampaignJournal::open(&path, new_fp, 2, || new_features).unwrap();
         assert_eq!(replayed, vec![(0, MutantStatus::Survived)]);
-        assert!(rebuilt);
+        assert!(salvaged);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

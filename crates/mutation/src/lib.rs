@@ -37,7 +37,9 @@
 //! * [`CampaignJournal`] / [`campaign_fingerprint`] — the durable
 //!   write-ahead verdict journal behind resumable campaigns (the paper's
 //!   §3.4 test-history mandate): set `MutationConfig::journal_path` and a
-//!   killed campaign resumes with only unfinished mutants re-executed;
+//!   killed campaign resumes with only unfinished mutants re-executed,
+//!   while a changed campaign keeps the verdicts of every method whose
+//!   per-method sub-fingerprint still matches and re-executes the rest;
 //! * [`MutationMatrix`] — the method × operator aggregation behind the
 //!   paper's Tables 2 and 3.
 //!
@@ -86,10 +88,7 @@ pub use fault::{
     coerce_int, ClonableFactory, FaultPlan, MutationSwitch, Replacement, Scope, VarEnv,
 };
 pub use inventory::{ClassInventory, MethodInventory, UseSite};
-pub use journal::{
-    campaign_fingerprint, decode_feature, decode_verdict, encode_feature, encode_verdict,
-    method_fingerprints, CampaignJournal, FeatureFingerprint, IncrementalResume,
-};
+pub use journal::{campaign_fingerprint, decode_verdict, encode_verdict, CampaignJournal};
 pub use matrix::{CellStats, MutationMatrix};
 pub use operators::{MutationOperator, ReqConst};
 pub use orchestrator::{

@@ -29,8 +29,8 @@
 //! * **Isolation of failure** — a crashed or hung lease costs its owning
 //!   campaign at most the in-flight mutant (retried once, then
 //!   quarantined), a cancelled campaign tears down
-//!   cleanly with its journal flushed (resumable via the incremental
-//!   path), budget exhaustion degrades only its own campaign to
+//!   cleanly with its journal flushed (resumable, like any journaled
+//!   campaign), budget exhaustion degrades only its own campaign to
 //!   [`DegradeReason::BudgetExhausted`], and cancelling the service-level
 //!   [`CancelToken`] (see [`Orchestrator::service_token`]) checkpoints
 //!   every campaign's journal — every verdict is write-ahead fsynced, so
@@ -135,9 +135,6 @@ pub struct OrchestratorConfig {
     /// `orchestrator.progress` snapshot. Per-campaign telemetry lives on
     /// each request's [`MutationConfig::telemetry`]. Disabled by default.
     pub telemetry: Telemetry,
-    /// Install a process-global silent panic hook for the service's
-    /// lifetime (mutant panics are expected kill signals, not noise).
-    pub silence_panics: bool,
 }
 
 impl Default for OrchestratorConfig {
@@ -147,7 +144,6 @@ impl Default for OrchestratorConfig {
             capacity: 16,
             lease_size: 8,
             telemetry: Telemetry::disabled(),
-            silence_panics: true,
         }
     }
 }
@@ -184,7 +180,7 @@ pub struct CampaignRequest {
     /// The enumerated mutants.
     pub mutants: Vec<Mutant>,
     /// Per-campaign configuration: budget, journal path, probe suites,
-    /// isolation mode (thread or process leases), incremental resume.
+    /// isolation mode (thread or process leases).
     /// `config.workers` is ignored — the fleet owns parallelism.
     pub config: MutationConfig,
     /// Scheduling priority (higher runs first); aging guarantees lower
@@ -368,7 +364,9 @@ struct CampaignData {
 struct CampaignRuntime {
     data: Arc<CampaignData>,
     baseline: GoldenBaseline,
-    fingerprint: u32,
+    /// The campaign fingerprint: `Some` for every journaled or
+    /// process-isolated campaign.
+    fingerprint: Option<u32>,
 }
 
 /// What a degraded solo campaign hands back to
@@ -725,7 +723,7 @@ fn process_lease(
         poisoned: false,
         emitted: 0,
     };
-    let Ok(exe) = std::env::current_exe() else {
+    let (Some(fingerprint), Ok(exe)) = (rt.fingerprint, std::env::current_exe()) else {
         scoped.incr("harden.degraded");
         return crash(QuarantineReason::WorkerCrash);
     };
@@ -738,7 +736,7 @@ fn process_lease(
     command
         .args(&spec.worker_args)
         .env(SHARD_INDICES_ENV, csv)
-        .env(SHARD_FINGERPRINT_ENV, format!("{:08x}", rt.fingerprint))
+        .env(SHARD_FINGERPRINT_ENV, format!("{fingerprint:08x}"))
         .stdin(Stdio::null())
         .stdout(Stdio::piped())
         .stderr(Stdio::inherit());
@@ -788,7 +786,7 @@ fn process_lease(
             Ok(PipeEvent::Frame(payload)) => {
                 liveness.beat();
                 match parse_frame(&payload) {
-                    ShardFrame::Hello(fp) if fp == rt.fingerprint => {}
+                    ShardFrame::Hello(fp) if fp == fingerprint => {}
                     ShardFrame::Hello(_) => {
                         // The worker rebuilt a different campaign — a
                         // config bug, deterministic on retry. Degrade
@@ -862,6 +860,15 @@ fn process_lease(
 /// [`DegradeReason::HarnessFailure`].
 const FUTILE_LEASES: u32 = 3;
 
+/// How many lease crashes a campaign absorbs before the fleet flags
+/// `mutation.restarts_exhausted` in the harness-health table. Each crash
+/// costs at most its in-flight mutant, and the campaign keeps leasing
+/// past the budget: it still ends, because a mutant that kills its lease
+/// twice is convicted and leases that die without progress degrade the
+/// campaign (a solo run then finishes inline). Partial results are never
+/// discarded.
+pub(crate) const WORKER_RESTARTS: u64 = 4;
+
 /// Campaign heartbeat cadence: the supervisor emits a snapshot when at
 /// least this long has passed since the previous one.
 const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(200);
@@ -887,7 +894,8 @@ struct Supervisor {
 
 impl Supervisor {
     fn run(mut self) {
-        let _hook_guard = self.config.silence_panics.then(PanicSilencer::install);
+        // Mutant panics are expected kill signals, not noise.
+        let _hook_guard = PanicSilencer::install();
         loop {
             match self.rx.recv_timeout(SUPERVISOR_POLL) {
                 Ok(msg) => self.handle(msg),
@@ -1107,8 +1115,14 @@ impl Supervisor {
             campaign.ledger.fingerprint(),
             campaign.ledger.telemetry(),
         );
-        let fingerprint =
-            campaign_fingerprint(class_name, &data.suite, &data.mutants, &data.config);
+        // The journal already fingerprinted a journaled campaign; the
+        // shard hello check is the only other reader.
+        let fingerprint = campaign.ledger.fingerprint().or_else(|| {
+            campaign
+                .spec
+                .as_ref()
+                .map(|_| campaign_fingerprint(class_name, &data.suite, &data.mutants, &data.config))
+        });
         campaign.replayed = campaign.ledger.done() as u64;
         if campaign.replayed > 0 {
             self.config.telemetry.incr("orchestrator.resumed");
@@ -1503,8 +1517,7 @@ fn handle_crash(
             .jittered_delay(campaign.respawns, &mut campaign.backoff_rng);
         campaign.next_lease_at = Instant::now() + delay;
     }
-    let budget = campaign.data.config.worker_restarts;
-    if campaign.crashes > budget as u64 && !campaign.exhaustion_flagged {
+    if campaign.crashes > WORKER_RESTARTS && !campaign.exhaustion_flagged {
         // Past the restart budget the campaign keeps leasing — it still
         // ends, by conviction or futility — but the harness-health table
         // gets a `mutation.restarts_exhausted` row and the flight
@@ -1515,7 +1528,7 @@ fn handle_crash(
         telemetry.incr("mutation.restarts_exhausted");
         telemetry.snapshot("campaign.degraded", || {
             vec![
-                ("restarts_spent".to_owned(), budget as i64),
+                ("restarts_spent".to_owned(), WORKER_RESTARTS as i64),
                 ("queued".to_owned(), queued as i64),
             ]
         });
@@ -1744,7 +1757,7 @@ pub fn run_mutation_analysis_parallel(
     mutants: &[Mutant],
     config: &MutationConfig,
 ) -> MutationRun {
-    let _hook_guard = config.silence_panics.then(PanicSilencer::install);
+    let _hook_guard = PanicSilencer::install();
     let run_span = config.telemetry.span("mutation", shards.class_name());
     let telemetry = config.telemetry.at(run_span.id());
     let service = Orchestrator::start(OrchestratorConfig {
@@ -1752,7 +1765,6 @@ pub fn run_mutation_analysis_parallel(
         capacity: 1,
         lease_size: 0,
         telemetry: Telemetry::disabled(),
-        silence_panics: false,
     });
     let request = CampaignRequest {
         name: shards.class_name().to_owned(),

@@ -142,7 +142,7 @@ pub fn run_shard_worker(
     mutants: &[Mutant],
     config: &MutationConfig,
 ) -> i32 {
-    let _hook_guard = config.silence_panics.then(PanicSilencer::install);
+    let _hook_guard = PanicSilencer::install();
     let Ok(indices_var) = std::env::var(SHARD_INDICES_ENV) else {
         return EXIT_BAD_ENV;
     };

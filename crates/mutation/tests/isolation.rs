@@ -187,10 +187,7 @@ fn calc_mutants() -> Vec<Mutant> {
 /// isolation mode are layered on by the supervisor only (all three are
 /// excluded from the campaign fingerprint).
 fn calc_config() -> MutationConfig {
-    MutationConfig {
-        silence_panics: true,
-        ..MutationConfig::default()
-    }
+    MutationConfig::default()
 }
 
 fn calc_isolation() -> ProcessIsolation {
@@ -331,15 +328,10 @@ fn volatile_mutants() -> Vec<Mutant> {
 }
 
 fn volatile_config() -> MutationConfig {
-    MutationConfig {
-        silence_panics: true,
-        ..MutationConfig::default()
-    }
+    MutationConfig::default()
 }
 
-/// Short heartbeat so the spinning mutant is detected quickly; a restart
-/// budget comfortably above the four deaths the two nasty mutants cost
-/// (each dies once, is retried, and dies again).
+/// Short heartbeat so the spinning mutant is detected quickly.
 fn volatile_isolation() -> ProcessIsolation {
     let mut spec = ProcessIsolation::new(["shard_worker_entry", "--exact", "--nocapture"])
         .env(SUBJECT_ENV, "volatile");
@@ -436,7 +428,6 @@ fn process_shards_contain_abort_and_unresponsive_mutants() {
             &volatile_mutants(),
             &MutationConfig {
                 workers: shards,
-                worker_restarts: 16,
                 isolation: IsolationMode::Process(volatile_isolation()),
                 ..volatile_config()
             },
@@ -548,7 +539,6 @@ fn external_shard_kill_does_not_change_the_verdicts() {
     });
     let run = run_calc(MutationConfig {
         workers: 2,
-        worker_restarts: 16,
         isolation: IsolationMode::Process(calc_isolation()),
         ..calc_config()
     });
@@ -609,7 +599,6 @@ fn incremental_campaign_replays_across_isolation_modes() {
         workers: 2,
         telemetry,
         journal_path: Some(path.clone()),
-        incremental: true,
         isolation,
         ..calc_config()
     };

@@ -202,10 +202,7 @@ fn chaos_mutants() -> Vec<Mutant> {
 /// in the service and every shard worker; journal path and isolation
 /// mode are layered on by the submitter only (both fingerprint-excluded).
 fn chaos_config() -> MutationConfig {
-    MutationConfig {
-        silence_panics: true,
-        ..MutationConfig::default()
-    }
+    MutationConfig::default()
 }
 
 fn chaos_isolation() -> ProcessIsolation {

@@ -395,6 +395,36 @@ pub fn recover_journal(path: impl AsRef<Path>) -> io::Result<(Journal, JournalSc
     Ok((Journal::open(path)?, scan))
 }
 
+/// Opens the journal at `path` bound to one `header` record: recovers it
+/// (see [`recover_journal`]), and when its first record is `header`,
+/// writes nothing. Otherwise (a missing file, or another header) the
+/// journal is rewritten, in one fsynced batch, as `header` followed by
+/// the records `rebuild` derives from the stale ones (every verified
+/// record, stale header included). Returns the journal and the records
+/// after its header: the stored ones on a match, else the rebuilt ones.
+///
+/// # Errors
+///
+/// Propagates recovery, truncate and append errors.
+pub fn open_bound_journal(
+    path: impl AsRef<Path>,
+    header: &str,
+    rebuild: impl FnOnce(&[String]) -> Vec<String>,
+) -> io::Result<(Journal, Vec<String>)> {
+    let (mut journal, mut scan) = recover_journal(path)?;
+    if scan.records.first().map(String::as_str) == Some(header) {
+        scan.records.remove(0);
+        return Ok((journal, scan.records));
+    }
+    let records = rebuild(&scan.records);
+    journal.clear()?;
+    let batch: Vec<&str> = std::iter::once(header)
+        .chain(records.iter().map(String::as_str))
+        .collect();
+    journal.append_all(&batch)?;
+    Ok((journal, records))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -58,7 +58,8 @@ mod supervise;
 mod value;
 
 pub use atomic_io::{
-    crc32, recover_journal, scan_journal, write_atomic, AtomicFile, Journal, JournalScan,
+    crc32, open_bound_journal, recover_journal, scan_journal, write_atomic, AtomicFile, Journal,
+    JournalScan,
 };
 pub use clock::monotonic_nanos;
 pub use component::{args, unknown_method, Component};

@@ -20,18 +20,18 @@
 //! an uninterrupted run; CI's `resume` job SIGKILLs this mode mid-flight
 //! and diffs the reports.
 //!
-//! The campaign mode takes three optional flags: `--isolation
+//! The campaign mode takes two optional flags: `--isolation
 //! {thread,process}` selects how mutants are contained (process shards
 //! are self-execs of this binary via the hidden `shard-worker campaign`
-//! entry point, supervised with heartbeat liveness and respawn),
-//! `--shards N` sets the worker/shard count, and `--incremental` turns
-//! on change-aware resume (per-method sub-fingerprints in the journal;
-//! the warm run prints `replayed N of M verdicts` to stdout). Verdicts
-//! and the report are byte-identical across both modes and every shard
-//! count; CI's `isolation` job SIGKILLs a process shard mid-run and
-//! `cmp`s the report against the in-thread golden, and its
-//! `incremental` job runs the campaign twice warm and `cmp`s the
-//! reports.
+//! entry point, supervised with heartbeat liveness and respawn), and
+//! `--shards N` sets the worker/shard count. Every run prints
+//! `replayed N of M verdicts` to stdout (the journal's per-method
+//! sub-fingerprints also let a changed campaign keep its unchanged
+//! methods' verdicts). Verdicts and the report are byte-identical across
+//! both modes and every shard count; CI's `isolation` job SIGKILLs a
+//! process shard mid-run and `cmp`s the report against the in-thread
+//! golden, and its `incremental` job runs the campaign twice warm and
+//! `cmp`s the reports.
 //!
 //! A long-running mode, `mutation_demo campaign-server <dir> [--fleet N]
 //! [--isolation {thread,process}] [--resume]`, hosts the fault-tolerant
@@ -118,8 +118,8 @@ fn main() {
         return;
     }
     if args.len() >= 4 && args[1] == "campaign" {
-        let (process, shards, incremental) = parse_campaign_flags(&args[4..]);
-        campaign_mode(&args[2], &args[3], process, shards, incremental);
+        let (process, shards) = parse_campaign_flags(&args[4..]);
+        campaign_mode(&args[2], &args[3], process, shards);
         return;
     }
     if args.len() == 4 && args[1] == "trace" {
@@ -383,22 +383,18 @@ fn delay_bundle() -> SelfTestable {
 /// the survivors and re-executes only unfinished mutants; the report is
 /// written atomically at the end and must be byte-identical whether or
 /// not the campaign was interrupted.
-fn campaign_mode(journal: &str, report: &str, process: bool, shards: usize, incremental: bool) {
+fn campaign_mode(journal: &str, report: &str, process: bool, shards: usize) {
     // ~10 hanging mutants x one 300 ms deadline per reached case, over 2
     // workers: the uninterrupted campaign takes well over 5 s, so CI's
     // kill at 2 s lands mid-flight with verdicts already journaled.
     let bundle = delay_bundle();
     let sink = Arc::new(MemorySink::new());
+    // The replay count goes to stdout only; the report stays timing- and
+    // telemetry-free so warm and cold runs `cmp` equal.
     let mut consumer = campaign_consumer()
         .with_workers(shards)
-        .with_journal(journal);
-    if incremental {
-        // The replay count goes to stdout only; the report stays
-        // timing- and telemetry-free so warm and cold runs `cmp` equal.
-        consumer = consumer
-            .incremental()
-            .with_telemetry(Telemetry::new(sink.clone()));
-    }
+        .with_journal(journal)
+        .with_telemetry(Telemetry::new(sink.clone()));
     if process {
         consumer = consumer.with_isolation(IsolationMode::Process(ProcessIsolation::new([
             "shard-worker",
@@ -412,15 +408,8 @@ fn campaign_mode(journal: &str, report: &str, process: bool, shards: usize, incr
         .evaluate_quality(&bundle, &suite, &targets, &[])
         .expect("bundle carries mutation support and shards");
     write_atomic(report, campaign_report(&run).as_bytes()).expect("report written atomically");
-    if incremental {
-        let summary = sink.summary();
-        let replayed = summary
-            .counters
-            .get("mutation.replayed")
-            .copied()
-            .unwrap_or(0);
-        println!("replayed {replayed} of {} verdicts", run.total());
-    }
+    let replayed = sink.counter_total("mutation.replayed");
+    println!("replayed {replayed} of {} verdicts", run.total());
     println!(
         "campaign complete in {:?}: {}",
         started.elapsed(),
@@ -454,14 +443,11 @@ fn campaign_consumer() -> Consumer {
         .with_budget(Budget::unlimited().with_deadline(Duration::from_millis(300)))
 }
 
-/// Parses the campaign mode's optional `--isolation {thread,process}`,
-/// `--shards N` and `--incremental` flags; defaults are thread isolation
-/// over 2 shards without incremental resume (the historical `campaign`
-/// behaviour).
-fn parse_campaign_flags(rest: &[String]) -> (bool, usize, bool) {
+/// Parses the campaign mode's optional `--isolation {thread,process}`
+/// and `--shards N` flags; defaults are thread isolation over 2 shards.
+fn parse_campaign_flags(rest: &[String]) -> (bool, usize) {
     let mut process = false;
     let mut shards = 2usize;
-    let mut incremental = false;
     let mut args = rest.iter();
     while let Some(flag) = args.next() {
         match flag.as_str() {
@@ -476,11 +462,10 @@ fn parse_campaign_flags(rest: &[String]) -> (bool, usize, bool) {
                     .and_then(|n| n.parse().ok())
                     .expect("--shards takes a positive integer");
             }
-            "--incremental" => incremental = true,
             other => panic!("unknown campaign flag {other:?}"),
         }
     }
-    (process, shards.max(1), incremental)
+    (process, shards.max(1))
 }
 
 /// The shard-worker half of the process-isolated campaign: rebuilds the

@@ -186,7 +186,6 @@ fn coblist_run(coverage_selection: bool, sink: &Arc<MemorySink>) -> MutationRun 
     let targets = ["AddHead", "RemoveAt", "RemoveHead"];
     let mutants = enumerate_mutants(bundle.inventory().unwrap(), &targets);
     let config = MutationConfig {
-        silence_panics: true,
         telemetry: consumer.telemetry().clone(),
         coverage_selection,
         ..MutationConfig::default()

@@ -1,10 +1,12 @@
-//! Incremental change-aware analysis: a warm re-run of an unchanged
+//! Change-aware resume of journaled campaigns: a warm re-run of an unchanged
 //! campaign is pure journal replay (zero mutants re-execute), and when
 //! one method's mutant inventory changes, only that method's mutants
 //! re-execute — the other methods' verdicts are salvaged from the old
 //! journal across the campaign-global id shift. In every case the
 //! resumed run's verdicts, score and rendered report are byte-identical
-//! to a cold run, for workers ∈ {1, 4}.
+//! to a cold run, for workers ∈ {1, 4} and for thread and process
+//! isolation. The process shards are this test binary, re-executed into
+//! [`shard_worker_entry`].
 //!
 //! The subject is a two-method `Gauge` whose component always reads two
 //! instrumented sites in `Scale` — only the *inventory* differs between
@@ -17,7 +19,8 @@
 use concat::bit::{BitControl, BuiltInTest, ComponentFactory, StateReport, TestableComponent};
 use concat::core::{Consumer, SelfTestable, SelfTestableBuilder};
 use concat::mutation::{
-    load_campaign_coverage, ClassInventory, MethodInventory, MutationRun, MutationSwitch, VarEnv,
+    load_campaign_coverage, ClassInventory, IsolationMode, MethodInventory, MutationRun,
+    MutationSwitch, ProcessIsolation, VarEnv,
 };
 use concat::obs::{MemorySink, Summary, Telemetry};
 use concat::report::{render_score_table, summarize_run};
@@ -183,23 +186,66 @@ fn gauge_bundle(wide_scale: bool) -> SelfTestable {
     .build()
 }
 
-/// One incremental campaign over the gauge bundle.
-fn campaign(wide_scale: bool, workers: usize, journal: Option<&Path>) -> (MutationRun, Summary) {
+/// Env var naming the inventory (`wide` or `narrow`) a re-executed shard
+/// worker rebuilds.
+const SUBJECT_ENV: &str = "CONCAT_TEST_GAUGE_SHARD";
+
+const TARGETS: [&str; 2] = ["Scale", "Bump"];
+
+/// The fingerprint-relevant half of the consumer, identical in the
+/// supervisor and every shard worker.
+fn consumer() -> Consumer {
+    Consumer::with_seed(61)
+}
+
+/// The hidden worker half of a process-isolated campaign: a no-op under
+/// a normal `cargo test` run; re-executed with [`SUBJECT_ENV`] set, it
+/// rebuilds that campaign and classifies its assigned mutants.
+#[test]
+fn shard_worker_entry() {
+    let Ok(subject) = std::env::var(SUBJECT_ENV) else {
+        return;
+    };
+    let bundle = gauge_bundle(subject == "wide");
+    let suite = consumer().generate(&bundle).expect("generation succeeds");
+    let code = consumer()
+        .run_shard_worker(&bundle, &suite, &TARGETS, &[])
+        .expect("the gauge bundle shards");
+    std::process::exit(code);
+}
+
+/// One campaign over the gauge bundle, on thread or process shards.
+fn campaign_in(
+    wide_scale: bool,
+    workers: usize,
+    process: bool,
+    journal: Option<&Path>,
+) -> (MutationRun, Summary) {
     let sink = Arc::new(MemorySink::new());
-    let mut consumer = Consumer::with_seed(61)
+    let mut consumer = consumer()
         .with_workers(workers)
-        .with_telemetry(Telemetry::new(sink.clone()))
-        .incremental();
-    assert!(consumer.is_incremental());
+        .with_telemetry(Telemetry::new(sink.clone()));
     if let Some(path) = journal {
         consumer = consumer.with_journal(path);
+    }
+    if process {
+        let subject = if wide_scale { "wide" } else { "narrow" };
+        consumer = consumer.with_isolation(IsolationMode::Process(
+            ProcessIsolation::new(["shard_worker_entry", "--exact", "--nocapture"])
+                .env(SUBJECT_ENV, subject),
+        ));
     }
     let bundle = gauge_bundle(wide_scale);
     let suite = consumer.generate(&bundle).expect("generation succeeds");
     let run = consumer
-        .evaluate_quality(&bundle, &suite, &["Scale", "Bump"], &[])
+        .evaluate_quality(&bundle, &suite, &TARGETS, &[])
         .expect("campaign completes");
     (run, sink.summary())
+}
+
+/// One campaign over the gauge bundle on thread shards.
+fn campaign(wide_scale: bool, workers: usize, journal: Option<&Path>) -> (MutationRun, Summary) {
+    campaign_in(wide_scale, workers, false, journal)
 }
 
 fn render_report(run: &MutationRun) -> String {
@@ -207,7 +253,7 @@ fn render_report(run: &MutationRun) -> String {
         "{}\n{}\n",
         render_score_table(
             "Gauge mutation analysis",
-            &concat::mutation::MutationMatrix::from_run(run, &["Scale", "Bump"])
+            &concat::mutation::MutationMatrix::from_run(run, &TARGETS)
         ),
         summarize_run(run)
     )
@@ -263,52 +309,55 @@ fn warm_rerun_of_unchanged_campaign_is_pure_replay() {
 
 #[test]
 fn one_method_change_reexecutes_only_that_method() {
-    for workers in [1, 4] {
-        let dir = scratch(&format!("change-w{workers}"));
-        let path = dir.join("verdicts.journal");
-        // Cold campaign under the narrow inventory.
-        let (narrow, _) = campaign(false, workers, Some(&path));
-        let bump_mutants = narrow
-            .results
-            .iter()
-            .filter(|r| r.mutant.method() == "Bump")
-            .count();
-        assert!(bump_mutants > 0, "Bump contributes mutants");
+    for process in [false, true] {
+        for workers in [1, 4] {
+            let mode = if process { "process" } else { "thread" };
+            let dir = scratch(&format!("change-{mode}-w{workers}"));
+            let path = dir.join("verdicts.journal");
+            // Cold campaign under the narrow inventory.
+            let (narrow, _) = campaign_in(false, workers, process, Some(&path));
+            let bump_mutants = narrow
+                .results
+                .iter()
+                .filter(|r| r.mutant.method() == "Bump")
+                .count();
+            assert!(bump_mutants > 0, "Bump contributes mutants");
 
-        // The golden: a cold wide campaign with no journal history.
-        let (golden, _) = campaign(true, workers, None);
-        assert!(
-            golden.total() > narrow.total(),
-            "widening Scale adds mutants and shifts Bump's ids"
-        );
+            // The golden: a cold wide campaign with no journal history.
+            let (golden, _) = campaign(true, workers, None);
+            assert!(
+                golden.total() > narrow.total(),
+                "widening Scale adds mutants and shifts Bump's ids"
+            );
 
-        // Widen Scale against the narrow journal: Bump's verdicts are
-        // salvaged (remapped across the id shift) and only Scale's
-        // mutants re-execute.
-        let (widened, summary) = campaign(true, workers, Some(&path));
-        assert_eq!(
-            widened.results, golden.results,
-            "workers = {workers}: salvaged run must be byte-identical to cold"
-        );
-        assert_eq!(
-            render_report(&widened),
-            render_report(&golden),
-            "workers = {workers}: report must be byte-identical to cold"
-        );
-        assert_eq!(
-            replayed(&summary),
-            bump_mutants as u64,
-            "workers = {workers}: exactly the unchanged method's verdicts replay"
-        );
-        assert_eq!(
-            summary
-                .counters
-                .get("mutation.incremental_rebuild")
-                .copied(),
-            Some(1),
-            "workers = {workers}: the foreign journal was salvaged, not discarded"
-        );
-        std::fs::remove_dir_all(&dir).expect("cleanup");
+            // Widen Scale against the narrow journal: Bump's verdicts are
+            // salvaged (remapped across the id shift) and only Scale's
+            // mutants re-execute.
+            let (widened, summary) = campaign_in(true, workers, process, Some(&path));
+            assert_eq!(
+                widened.results, golden.results,
+                "{mode} workers = {workers}: salvaged run must be byte-identical to cold"
+            );
+            assert_eq!(
+                render_report(&widened),
+                render_report(&golden),
+                "{mode} workers = {workers}: report must be byte-identical to cold"
+            );
+            assert_eq!(
+                replayed(&summary),
+                bump_mutants as u64,
+                "{mode} workers = {workers}: exactly the unchanged method's verdicts replay"
+            );
+            assert_eq!(
+                summary
+                    .counters
+                    .get("mutation.incremental_rebuild")
+                    .copied(),
+                Some(1),
+                "{mode} workers = {workers}: the foreign journal was salvaged, not discarded"
+            );
+            std::fs::remove_dir_all(&dir).expect("cleanup");
+        }
     }
 }
 

@@ -211,11 +211,15 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-/// Cuts the journal back to its header plus the first `k` verdict
-/// records — a process kill between two record writes.
+/// Cuts the journal back to its header and feature records plus the
+/// first `k` verdict records — a process kill between two record writes.
 fn truncate_to(path: &Path, k: usize) {
     let text = std::fs::read_to_string(path).expect("journal is readable");
-    let kept: Vec<&str> = text.lines().take(1 + k).collect();
+    let preamble = text
+        .lines()
+        .take_while(|line| !line.contains(" verdict "))
+        .count();
+    let kept: Vec<&str> = text.lines().take(preamble + k).collect();
     std::fs::write(path, format!("{}\n", kept.join("\n"))).expect("truncate");
 }
 
